@@ -1,15 +1,18 @@
 """Return panels: construction, CSV ingestion and date-bucket splitting.
 
 A panel is an (m, n) float64 matrix of m observation rows (dates, strictly
-increasing ISO-8601 strings) by n named columns.  Panels are immutable
+increasing ``YYYY-MM-DD`` strings) by n named columns.  Panels are immutable
 after construction; every transformation returns a new panel.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime
+import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,16 +31,41 @@ __all__ = [
 
 
 def _check_date(text: str, context: str) -> str:
-    try:
-        datetime.date.fromisoformat(text)
-    except ValueError:
-        raise DataError(f"{context}: invalid ISO date {text!r}") from None
-    return text
+    """Return ``text`` if it is a calendar date written as ``YYYY-MM-DD``.
+
+    Rows are ordered by comparing these strings, which matches date order
+    only for this one spelling; ``fromisoformat`` alone also accepts
+    ``20200101`` and ``2020-W01-1`` on newer Pythons.
+    """
+    if len(text) == 10 and text[4] == text[7] == "-":
+        try:
+            datetime.date.fromisoformat(text)
+            return text
+        except ValueError:
+            pass
+    raise DataError(f"{context}: invalid ISO date {text!r}")
+
+
+class _RowIndex(tuple):
+    """Row dates already checked: canonical dates, strictly increasing.
+
+    Only this module makes one, from dates it has validated or from a
+    contiguous slice of another.  Any other tuple, including a slice of
+    this one (slicing returns a plain tuple), is validated again.
+    """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
 class SamplePanel:
-    """Immutable (m, n) observation matrix with dated rows and named columns."""
+    """Immutable (m, n) observation matrix with dated rows and named columns.
+
+    ``row_ids`` must be ``YYYY-MM-DD`` dates in strictly increasing order.
+    The dates are checked once: panels derived from this one (``with_data``,
+    ``split_buckets``, whitening and unmixing) reuse the validated index,
+    while their data, shape and columns are checked like any other panel's.
+    """
 
     data: np.ndarray
     column_ids: tuple
@@ -55,18 +83,23 @@ class SamplePanel:
         if not np.all(np.isfinite(data)):
             raise DataError("panel data contains non-finite entries")
         columns = tuple(str(c) for c in self.column_ids)
-        rows = tuple(str(r) for r in self.row_ids)
+        rows = self.row_ids
+        trusted = isinstance(rows, _RowIndex)
+        if not trusted:
+            rows = tuple(str(r) for r in rows)
         if len(columns) != n:
             raise DataError(f"{len(columns)} column ids for {n} columns")
         if len(rows) != m:
             raise DataError(f"{len(rows)} row ids for {m} rows")
         if len(set(columns)) != n:
             raise DataError("duplicate column ids")
-        for r in rows:
-            _check_date(r, "row id")
-        for a, b in zip(rows, rows[1:]):
-            if a >= b:
-                raise DataError(f"row dates not strictly increasing at {b!r}")
+        if not trusted:
+            for r in rows:
+                _check_date(r, "row id")
+            for a, b in zip(rows, rows[1:]):
+                if a >= b:
+                    raise DataError(f"row dates not strictly increasing at {b!r}")
+            rows = _RowIndex(rows)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "column_ids", columns)
@@ -117,15 +150,16 @@ def split_buckets(panel: SamplePanel, boundary_date: str) -> BucketSplit:
     bucket is empty.
     """
     boundary = _check_date(str(boundary_date), "boundary")
-    n_in = sum(1 for r in panel.row_ids if r < boundary)
+    rows = panel.row_ids
+    n_in = bisect.bisect_left(rows, boundary)
     if n_in == 0 or n_in == panel.m:
         raise DataError(
             f"boundary {boundary} leaves an empty bucket "
-            f"(panel covers {panel.row_ids[0]} to {panel.row_ids[-1]})"
+            f"(panel covers {rows[0]} to {rows[-1]})"
         )
     return BucketSplit(
-        in_sample=SamplePanel(panel.data[:n_in], panel.column_ids, panel.row_ids[:n_in]),
-        out_sample=SamplePanel(panel.data[n_in:], panel.column_ids, panel.row_ids[n_in:]),
+        in_sample=SamplePanel(panel.data[:n_in], panel.column_ids, _RowIndex(rows[:n_in])),
+        out_sample=SamplePanel(panel.data[n_in:], panel.column_ids, _RowIndex(rows[n_in:])),
     )
 
 
@@ -140,15 +174,64 @@ def _open_text(path_or_file, mode="r"):
     return open(path_or_file, mode, newline=""), True
 
 
+def _intern(codes: dict, names: list, raw: str) -> int:
+    """Code of ``raw.strip()``; a name not seen before gets the next code.
+
+    ``codes`` maps both the raw field and its stripped name to the code, so
+    a field spelled the same way again costs one dict lookup.
+    """
+    name = raw.strip()
+    code = codes.get(name)
+    if code is None:
+        code = codes[name] = len(names)
+        names.append(name)
+    codes[raw] = code
+    return code
+
+
+def _sorted_ranks(names: list):
+    """``names`` sorted, and the position in that order of each code."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    ranks = np.empty(len(names), dtype=np.intp)
+    ranks[order] = np.arange(len(names))
+    return [names[i] for i in order], ranks
+
+
+def _duplicate_error(date_codes, symbol_codes, lines, dates, symbols):
+    """Error for the first row, in file order, repeating an earlier (date, symbol)."""
+    d = np.frombuffer(date_codes, dtype=np.int64)
+    s = np.frombuffer(symbol_codes, dtype=np.int64)
+    keys = d * len(symbols) + s
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if not repeats.size:
+        return None
+    i = int(repeats.min())
+    return DataError(f"line {lines[i]}: duplicate row for {symbols[s[i]]} on {dates[d[i]]}")
+
+
 def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
     """Build a panel from long-format CSV rows ``date,symbol,return``.
 
-    The cross product of observed dates and symbols is assembled with
-    dates sorted ascending and symbols sorted alphabetically.  Pairs not
-    present in the file are filled with 0.0 when ``fill_missing`` is true;
-    otherwise symbols with any missing date are dropped (with a warning).
-    Duplicate (date, symbol) pairs and unparseable rows are errors.
+    Dates must be ``YYYY-MM-DD``; dates and symbols are stripped of
+    surrounding whitespace.  The cross product of observed dates and
+    symbols is assembled with dates sorted ascending and symbols sorted
+    alphabetically.  Pairs not present in the file are filled with 0.0
+    when ``fill_missing`` is true; otherwise symbols with any missing date
+    are dropped (with a warning).  Duplicate (date, symbol) pairs and
+    unparseable rows are errors; the first bad line in file order is
+    reported.  Each distinct date is validated once, and memory beyond the
+    panel itself is a few dozen bytes per row.
     """
+    date_codes: dict = {}
+    symbol_codes: dict = {}
+    dates: list = []  # code -> date
+    symbols: list = []  # code -> symbol
+    row_dates = array("q")
+    row_symbols = array("q")
+    values = array("d")
+    lines = array("q")  # read only to report duplicates
     handle, owned = _open_text(path_or_file)
     try:
         reader = csv.reader(handle)
@@ -158,40 +241,57 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
             raise DataError("empty input file") from None
         if [h.strip().lower() for h in header] != ["date", "symbol", "return"]:
             raise DataError(f"expected header date,symbol,return, got {header!r}")
-        values: dict = {}
-        dates: set = set()
-        symbols: set = set()
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}")
-            date = _check_date(row[0].strip(), f"line {lineno}")
-            symbol = row[1].strip()
-            if not symbol:
-                raise DataError(f"line {lineno}: empty symbol")
-            try:
-                value = float(row[2])
-            except ValueError:
-                raise DataError(f"line {lineno}: bad return {row[2]!r}") from None
-            if not np.isfinite(value):
-                raise DataError(f"line {lineno}: non-finite return {row[2]!r}")
-            key = (date, symbol)
-            if key in values:
-                raise DataError(f"line {lineno}: duplicate row for {symbol} on {date}")
-            values[key] = value
-            dates.add(date)
-            symbols.add(symbol)
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 3:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}")
+                raw_date, raw_symbol, raw_value = row
+                d = date_codes.get(raw_date)
+                if d is None:
+                    _check_date(raw_date.strip(), f"line {lineno}")
+                    d = _intern(date_codes, dates, raw_date)
+                s = symbol_codes.get(raw_symbol)
+                if s is None:
+                    if not raw_symbol.strip():
+                        raise DataError(f"line {lineno}: empty symbol")
+                    s = _intern(symbol_codes, symbols, raw_symbol)
+                try:
+                    value = float(raw_value)
+                except ValueError:
+                    raise DataError(f"line {lineno}: bad return {raw_value!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"line {lineno}: non-finite return {raw_value!r}")
+                row_dates.append(d)
+                row_symbols.append(s)
+                values.append(value)
+                lines.append(lineno)
+        except DataError:
+            # a duplicate on an earlier line is the first bad line
+            error = _duplicate_error(row_dates, row_symbols, lines, dates, symbols)
+            if error is None:
+                raise
+            raise error from None
     finally:
         if owned:
             handle.close()
     if not values:
         raise DataError("no data rows in input")
-    date_list = sorted(dates)
-    symbol_list = sorted(symbols)
+    error = _duplicate_error(row_dates, row_symbols, lines, dates, symbols)
+    if error is not None:
+        raise error
+    date_list, date_ranks = _sorted_ranks(dates)
+    symbol_list, symbol_ranks = _sorted_ranks(symbols)
+    i = date_ranks[np.frombuffer(row_dates, dtype=np.int64)]
+    j = symbol_ranks[np.frombuffer(row_symbols, dtype=np.int64)]
+    data = np.zeros((len(date_list), len(symbol_list)))
+    data[i, j] = np.frombuffer(values, dtype=np.float64)
     if not fill_missing:
-        complete = [s for s in symbol_list if all((d, s) in values for d in date_list)]
-        dropped = sorted(set(symbol_list) - set(complete))
+        present = np.zeros(data.shape, dtype=bool)
+        present[i, j] = True
+        complete = present.all(axis=0)
+        dropped = [sym for sym, ok in zip(symbol_list, complete) if not ok]
         if dropped:
             warnings.warn(
                 f"dropped {len(dropped)} symbols with missing dates: "
@@ -200,14 +300,12 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
                 DroppedDataWarning,
                 stacklevel=2,
             )
-        symbol_list = complete
+        symbol_list = [sym for sym, ok in zip(symbol_list, complete) if ok]
         if not symbol_list:
             raise DataError("every symbol has missing dates; nothing to ingest")
-    data = np.zeros((len(date_list), len(symbol_list)))
-    for i, d in enumerate(date_list):
-        for j, s in enumerate(symbol_list):
-            data[i, j] = values.get((d, s), 0.0)
-    return SamplePanel(data, tuple(symbol_list), tuple(date_list))
+        data = data[:, complete]
+    # distinct checked dates, sorted: a valid row index as they stand
+    return SamplePanel(data, tuple(symbol_list), _RowIndex(date_list))
 
 
 def read_wide_csv(path_or_file) -> SamplePanel:

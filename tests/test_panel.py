@@ -1,5 +1,6 @@
 """Tests for panel construction, CSV ingestion and bucket splitting."""
 
+import datetime
 import io
 import warnings
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from tailica.errors import DataError, DroppedDataWarning
+from tailica.ica import UnmixingMatrix, transform
 from tailica.panel import (
     BucketSplit,
     SamplePanel,
@@ -16,6 +18,7 @@ from tailica.panel import (
     split_buckets,
     write_wide_csv,
 )
+from tailica.whiten import apply_whitening, fit_whitening
 
 DATES4 = ("2020-01-01", "2020-01-02", "2020-01-03", "2020-01-06")
 
@@ -158,6 +161,76 @@ def test_center_removes_column_means():
     assert c.row_ids == p.row_ids
 
 
+# accepted by date.fromisoformat on newer Pythons, but they sort out of date order
+NON_CANONICAL = ["20200101", "2020-W01-1"]
+
+
+@pytest.mark.parametrize("bad", NON_CANONICAL)
+def test_non_canonical_dates_are_rejected(bad):
+    with pytest.raises(DataError, match="invalid ISO date"):
+        SamplePanel(np.ones((2, 1)), ("a",), ("2019-12-31", bad))
+    with pytest.raises(DataError, match="invalid ISO date"):
+        split_buckets(make_panel(), bad)
+    text = f"date,symbol,return\n2020-01-02,A,1.0\n{bad},A,2.0\n2020-01-03,A,3.0\n"
+    with pytest.raises(DataError, match="line 3"):
+        ingest_csv(io.StringIO(text))
+    with pytest.raises(DataError, match="line 3"):
+        read_wide_csv(io.StringIO(f"date,A\n2019-12-30,1.0\n{bad},2.0\n"))
+
+
+def test_derived_panels_keep_the_row_index():
+    rng = np.random.default_rng(7)
+    dates = tuple(
+        (datetime.date(2020, 1, 1) + datetime.timedelta(days=i)).isoformat() for i in range(40)
+    )
+    p = make_panel(rng.standard_normal((40, 3)), columns=("a", "b", "c"), dates=dates)
+    derived = [center(p), p.with_data(p.data * 2.0)]
+    white = fit_whitening(center(p), 3)
+    z = apply_whitening(white, center(p))
+    derived += [z, transform(UnmixingMatrix(np.eye(3), k=1, seed=0, iterations=0, converged=True), z)]
+    for q in derived:
+        assert q.row_ids == p.row_ids
+        assert q.row_ids is p.row_ids
+    split = split_buckets(p, dates[25])
+    assert split.in_sample.row_ids == dates[:25]
+    assert split.out_sample.row_ids == dates[25:]
+    # a split of a split is still split correctly
+    inner = split_buckets(split.out_sample, dates[30])
+    assert inner.in_sample.row_ids == dates[25:30]
+    assert inner.out_sample.row_ids == dates[30:]
+
+
+def test_derived_panels_still_check_data_and_shape():
+    p = make_panel()
+    with pytest.raises(DataError):
+        p.with_data(np.full_like(p.data, np.nan))
+    with pytest.raises(DataError):
+        p.with_data(p.data[:3])
+    with pytest.raises(DataError):
+        p.with_data(p.data, column_ids=("x", "x"))
+    # slices of the row index are plain tuples, so order is checked again
+    with pytest.raises(DataError, match="strictly increasing"):
+        SamplePanel(p.data, p.column_ids, p.row_ids[::-1])
+
+
+def test_split_buckets_matches_a_linear_scan_at_every_boundary():
+    dates = ("2020-01-01", "2020-01-02", "2020-01-05", "2020-01-06", "2020-01-09", "2020-01-12")
+    p = make_panel(np.arange(12.0).reshape(6, 2), dates=dates)
+    first = datetime.date(2019, 12, 31)
+    for offset in range(14):
+        boundary = (first + datetime.timedelta(days=offset)).isoformat()
+        n_in = sum(1 for r in dates if r < boundary)
+        if n_in < 2 or p.m - n_in < 2:  # an empty or one-row bucket
+            with pytest.raises(DataError):
+                split_buckets(p, boundary)
+            continue
+        split = split_buckets(p, boundary)
+        assert split.in_sample.row_ids == dates[:n_in]
+        assert split.out_sample.row_ids == dates[n_in:]
+        np.testing.assert_array_equal(split.in_sample.data, p.data[:n_in])
+        np.testing.assert_array_equal(split.out_sample.data, p.data[n_in:])
+
+
 LONG_CSV = """date,symbol,return
 2020-01-02,BBB,0.5
 2020-01-01,AAA,0.125
@@ -237,6 +310,87 @@ def test_ingest_csv_skips_blank_lines():
     text = "date,symbol,return\n\n2020-01-01,AAA,1.0\n\n2020-01-02,AAA,2.0\n"
     p = ingest_csv(io.StringIO(text))
     assert p.m == 2
+
+
+def test_ingest_csv_reports_the_first_bad_line():
+    dup_first = (
+        "date,symbol,return\n2020-01-01,AAA,1.0\n2020-01-01,AAA,2.0\n"
+        "2020-01-02,AAA,1.0\n2020-01-02,BBB,xyz\n"
+    )
+    with pytest.raises(DataError, match="line 3: duplicate row for AAA on 2020-01-01"):
+        ingest_csv(io.StringIO(dup_first))
+    bad_first = (
+        "date,symbol,return\n2020-01-01,AAA,1.0\n2020-01-02,AAA,xyz\n"
+        "2020-01-02,BBB,1.0\n2020-01-01,AAA,2.0\n"
+    )
+    with pytest.raises(DataError, match="line 3: bad return"):
+        ingest_csv(io.StringIO(bad_first))
+
+
+def test_ingest_csv_strips_quoted_and_padded_fields():
+    text = (
+        'date,symbol,return\n2020-01-01," AAA",1.0\n"2020-01-01",BBB,2.0\n'
+        ' 2020-01-02 ,"AAA",3.0\n2020-01-02,BBB ,4.0\n'
+    )
+    p = ingest_csv(io.StringIO(text))
+    assert p.column_ids == ("AAA", "BBB")
+    assert p.row_ids == ("2020-01-01", "2020-01-02")
+    np.testing.assert_array_equal(p.data, [[1.0, 2.0], [3.0, 4.0]])
+    padded_duplicate = "date,symbol,return\n2020-01-01,AAA,1.0\n 2020-01-01 , AAA,2.0\n"
+    with pytest.raises(DataError, match="line 3: duplicate row for AAA on 2020-01-01"):
+        ingest_csv(io.StringIO(padded_duplicate))
+
+
+def test_ingest_csv_warning_truncates_long_symbol_lists():
+    lines = ["date,symbol,return", "2020-01-01,KEEP,1.0", "2020-01-02,KEEP,1.0"]
+    lines += [f"2020-01-01,S{j:02d},1.0" for j in range(12)]
+    with pytest.warns(DroppedDataWarning) as caught:
+        p = ingest_csv(io.StringIO("\n".join(lines) + "\n"), fill_missing=False)
+    assert p.column_ids == ("KEEP",)
+    message = str(caught[0].message)
+    assert message.startswith("dropped 12 symbols with missing dates: S00, S01,")
+    assert message.endswith("S09...")
+
+
+def reference_panel(rows, fill_missing):
+    """The long-to-wide assembly written out with plain loops."""
+    values = {(d, s): v for d, s, v in rows}
+    dates = sorted({d for d, _, _ in rows})
+    symbols = sorted({s for _, s, _ in rows})
+    if not fill_missing:
+        symbols = [s for s in symbols if all((d, s) in values for d in dates)]
+    data = np.zeros((len(dates), len(symbols)))
+    for i, d in enumerate(dates):
+        for j, s in enumerate(symbols):
+            data[i, j] = values.get((d, s), 0.0)
+    return data, tuple(symbols), tuple(dates)
+
+
+@pytest.mark.parametrize("fill_missing", [True, False])
+def test_ingest_csv_matches_a_loop_reference(fill_missing):
+    rng = np.random.default_rng(11)
+    start = datetime.date(2015, 3, 2)
+    dates = [(start + datetime.timedelta(days=i)).isoformat() for i in range(300)]
+    symbols = [f"S{j:02d}" for j in range(20)]
+    values = rng.standard_t(4, size=(300, 20))
+    values[rng.random((300, 20)) < 0.01] = 0.0
+    values[0, 0] = -0.0
+    # remove about 5% of the cells, from the first half of the symbols only
+    keep = ~((rng.random((300, 20)) < 0.1) & (np.arange(20) < 10))
+    cells = values.tolist()
+    rows = [
+        (dates[i], symbols[j], cells[i][j]) for i in range(300) for j in range(20) if keep[i, j]
+    ]
+    rows = [rows[t] for t in rng.permutation(len(rows))]
+    text = "date,symbol,return\n" + "".join(f"{d},{s},{v!r}\n" for d, s, v in rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DroppedDataWarning)
+        p = ingest_csv(io.StringIO(text), fill_missing=fill_missing)
+    data, columns, row_ids = reference_panel(rows, fill_missing)
+    assert p.column_ids == columns
+    assert p.row_ids == row_ids
+    assert p.data.shape == data.shape
+    assert p.data.tobytes() == data.tobytes()
 
 
 def test_wide_csv_round_trip_is_exact(tmp_path):

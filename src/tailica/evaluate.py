@@ -23,7 +23,7 @@ from .entropy import EntropyEstimatorConfig, estimate_entropy
 from .errors import DataError, DroppedDataWarning
 from .ica import ContrastSpec, KktResidual, UnmixingMatrix, fit_ica, kkt_residual, transform
 from .moments import moment, root_moment
-from .panel import BucketSplit, SamplePanel, split_buckets
+from .panel import BucketSplit, SamplePanel, _check_date, split_buckets
 from .whiten import WhiteningTransform, apply_whitening, fit_whitening
 
 __all__ = [
@@ -145,10 +145,7 @@ class SyntheticMarketSpec:
                 raise DataError(f"{name} must lie in [0, 1], got {value}")
         if self.tremor_scale < 0.0 or self.crash_scale < 0.0:
             raise DataError("tremor_scale and crash_scale must be non-negative")
-        try:
-            datetime.date.fromisoformat(self.start_date)
-        except ValueError:
-            raise DataError(f"invalid start_date {self.start_date!r}") from None
+        _check_date(self.start_date, "start_date")
 
 
 def _standardized_t(rng, df, size):
@@ -296,18 +293,8 @@ class ExperimentArtifacts:
     scatter_out: list
 
 
-def _worker_count(n_tasks: int, max_workers=None) -> int:
-    if max_workers is None:
-        env = os.environ.get("TAILICA_THREADS", "0").strip()
-        try:
-            max_workers = int(env)
-        except ValueError:
-            raise ValueError(f"TAILICA_THREADS must be an integer, got {env!r}") from None
-    if max_workers < 0:
-        raise ValueError(f"worker count must be >= 0, got {max_workers}")
-    if max_workers == 0:
-        max_workers = os.cpu_count() or 1
-    return max(1, min(n_tasks, max_workers))
+def _worker_count(n_tasks: int) -> int:
+    return max(1, min(n_tasks, os.cpu_count() or 1))
 
 
 def run_experiment_artifacts(
@@ -321,13 +308,12 @@ def run_experiment_artifacts(
     max_iter: int = 1000,
     eig_floor: float = 1e-10,
     standardize: bool = False,
-    max_workers=None,
 ) -> ExperimentArtifacts:
     """Full calibration run; see :func:`run_experiment` for the report-only view.
 
-    Contrast orders are fitted independently (optionally in parallel,
-    capped by ``TAILICA_THREADS``) and merged in ``k_list`` order, so the
-    artifacts are identical however the work is scheduled.
+    Contrast orders are fitted independently, one thread each up to the
+    core count, and merged in ``k_list`` order, so the artifacts are
+    identical however the work is scheduled.
     """
     k_list = [int(k) for k in k_list]
     if not k_list:
@@ -355,12 +341,8 @@ def run_experiment_artifacts(
             kkt_residual(z_in, identity, k),
         )
 
-    workers = _worker_count(len(k_list), max_workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fit_one, k_list))
-    else:
-        results = [fit_one(k) for k in k_list]
+    with ThreadPoolExecutor(max_workers=_worker_count(len(k_list))) as pool:
+        results = list(pool.map(fit_one, k_list))
     unmixings = {}
     reports = []
     kkt = {}

@@ -5,8 +5,9 @@ simultaneously under the orthonormality constraint: each iteration applies
 the update w_i <- E[y g(w_i'y)] - E[g'(w_i'y)] w_i to all columns, then
 projects W back to the nearest orthonormal matrix (symmetric
 orthogonalization).  Stationary points satisfy the first-order conditions
-E[(w_i'y)(w_j'y)^(2k-1)] = 0 for i != j, i.e. a diagonal tail covariance;
-the residual of that system is the convergence diagnostic.
+E[(w_i'y)(w_j'y)^(2k-1)] = E[(w_j'y)(w_i'y)^(2k-1)], i.e. a symmetric tail
+covariance, not a diagonal one: its off-diagonal entries vanish only for
+tail-independent components, so a converged fit on a sample keeps some.
 """
 
 from __future__ import annotations
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .moments import _pow2_scale
 from .panel import SamplePanel
-from .tailcov import tail_covariance
+from .tailcov import off_diagonal_stats, tail_covariance
+from .whiten import _fix_signs
 
 __all__ = [
     "ContrastSpec",
@@ -62,6 +65,11 @@ class ContrastSpec:
         return (2 * self.k - 1) * u ** (2 * self.k - 2)
 
 
+def _orthonormality_error(w: np.ndarray) -> float:
+    """max |W'W - I|."""
+    return float(np.abs(w.T @ w - np.eye(w.shape[0])).max())
+
+
 @dataclass(frozen=True)
 class UnmixingMatrix:
     """Orthonormal unmixing W (components are columns) plus fit metadata."""
@@ -78,7 +86,7 @@ class UnmixingMatrix:
             raise DataError(f"unmixing matrix must be square, got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise DataError("unmixing matrix has non-finite entries")
-        gram_err = np.abs(w.T @ w - np.eye(w.shape[0])).max()
+        gram_err = _orthonormality_error(w)
         if gram_err > 1e-8:
             raise DataError(f"unmixing columns not orthonormal (max |W'W - I| = {gram_err:.3e})")
         w = w.copy()
@@ -96,12 +104,6 @@ class KktResidual:
 
     off_diagonal_max: float
     orthonormality_max: float
-
-
-def _fix_column_signs(w: np.ndarray) -> np.ndarray:
-    idx = np.abs(w).argmax(axis=0)
-    flips = np.where(w[idx, np.arange(w.shape[1])] < 0.0, -1.0, 1.0)
-    return w * flips[np.newaxis, :]
 
 
 def _sym_orthogonalize(w: np.ndarray) -> np.ndarray:
@@ -157,12 +159,7 @@ def fit_ica(
     iterations = 0
     converged = False
     for iterations in range(1, int(max_iter) + 1):
-        s = y @ w
-        s_inf = np.abs(s).max(axis=0)
-        if np.any(s_inf == 0.0):
-            raise NumericalError("a component series is identically zero")
-        _, exp2 = np.frexp(s_inf)
-        r = np.ldexp(s, -exp2[np.newaxis, :])
+        r, exp2 = _pow2_scale(y @ w)
         # E[y g(w'y)] and E[g'(w'y)] with the power-of-two scale reapplied
         grad = np.ldexp(y.T @ r ** (2 * k - 1) / m, exp2 * (2 * k - 1))
         damp = np.ldexp((2 * k - 1) * np.mean(r ** (2 * k - 2), axis=0), exp2 * (2 * k - 2))
@@ -190,7 +187,7 @@ def fit_ica(
             converged = True
             break
     return UnmixingMatrix(
-        w=_fix_column_signs(w), k=k, seed=int(seed), iterations=iterations, converged=converged
+        w=_fix_signs(w), k=k, seed=int(seed), iterations=iterations, converged=converged
     )
 
 
@@ -205,21 +202,17 @@ def transform(W: UnmixingMatrix, white_panel: SamplePanel) -> SamplePanel:
 def kkt_residual(white_panel: SamplePanel, W: UnmixingMatrix, k: int) -> KktResidual:
     """Residuals of the stationarity system for W on the given data.
 
-    off_diagonal_max is the largest |E[(w_i'y)(w_j'y)^(2k-1)]| over i != j
-    (zero at an exact stationary point); orthonormality_max is
-    max |W'W - I|.  Centering is not re-checked: the caller supplies
-    whitened data, which is centered by construction on the training
-    bucket and near-centered out of sample.
+    off_diagonal_max is the largest |E[(w_i'y)(w_j'y)^(2k-1)]| over i != j,
+    the distance from a diagonal tail covariance; it is not zero at an
+    exact stationary point, where the tail covariance is only symmetric.
+    orthonormality_max is max |W'W - I|.  Centering is not re-checked:
+    the caller supplies whitened data, which is centered by construction
+    on the training bucket and near-centered out of sample.
     """
     components = transform(W, white_panel)
     tc = tail_covariance(components, k, check_centered=False)
-    if tc.d < 2:
-        off_max = 0.0
-    else:
-        off = np.abs(tc.values - np.diag(np.diag(tc.values)))
-        off_max = float(off.max())
-    orth = float(np.abs(W.w.T @ W.w - np.eye(W.d)).max())
-    return KktResidual(off_diagonal_max=off_max, orthonormality_max=orth)
+    off_max, _ = off_diagonal_stats(tc.values)
+    return KktResidual(off_diagonal_max=off_max, orthonormality_max=_orthonormality_error(W.w))
 
 
 def amari_index(w_est, a_true) -> float:

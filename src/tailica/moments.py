@@ -56,6 +56,20 @@ def _check_order(p: int) -> int:
     return p
 
 
+def _pow2_scale(x: np.ndarray):
+    """Split each column of ``x`` into ratios and a power-of-two exponent.
+
+    Returns ``(ratios, exp2)`` with ``x == ldexp(ratios, exp2)`` exactly:
+    ``exp2`` is the ``frexp`` exponent of the column's max-abs value, so
+    every ratio lies in (-1, 1) and a p-th power sums without overflow.
+    An all-zero column gets exponent 0.  A 1-d ``x`` is one column.
+    """
+    col_inf = np.abs(x).max(axis=0)
+    _, exp2 = np.frexp(col_inf)
+    exp2 = np.where(col_inf > 0.0, exp2, 0)
+    return np.ldexp(x, -exp2), exp2
+
+
 def extremes(sample) -> SampleExtremes:
     """Exact max, min and max-absolute value of a sample."""
     x = _as_sample(sample)
@@ -72,13 +86,12 @@ def moment(sample, p: int) -> float:
     """
     x = _as_sample(sample)
     p = _check_order(p)
-    x_inf = float(np.abs(x).max())
-    if x_inf == 0.0:
-        return 0.0
-    _, e = math.frexp(x_inf)
-    ratios = np.ldexp(x, -e)
+    ratios, e = _pow2_scale(x)
     s = float(np.mean(ratios**p))
     if s == 0.0:
+        x_inf = float(np.abs(x).max())
+        if x_inf == 0.0:
+            return 0.0
         # All rescaled terms underflowed; recompute in the log domain off
         # the x_inf-normalized form, whose dominant term is exactly one.
         r = x / x_inf
@@ -90,7 +103,7 @@ def moment(sample, p: int) -> float:
             return math.copysign(math.inf, s2)
         return float(np.sign(s2)) * math.exp(log_m)
     try:
-        return math.ldexp(s, e * p)
+        return math.ldexp(s, int(e) * p)
     except OverflowError:
         # true value exceeds the float64 range; saturate with the sign
         return math.copysign(math.inf, s)
@@ -118,8 +131,7 @@ def root_moment(sample, p: int) -> float:
             stacklevel=2,
         )
         x = np.abs(x)
-    _, e = math.frexp(ext.x_inf)
-    ratios = np.ldexp(x, -e)
+    ratios, e = _pow2_scale(x)
     s = float(np.mean(ratios**p))
     if s == 0.0:
         # Rescued path for extreme orders: normalize by x_inf so the
@@ -128,7 +140,7 @@ def root_moment(sample, p: int) -> float:
         if s == 0.0:
             return 0.0
         return float(np.sign(s)) * ext.x_inf * abs(s) ** (1.0 / p)
-    return float(np.sign(s)) * math.ldexp(abs(s) ** (1.0 / p), e)
+    return float(np.sign(s)) * math.ldexp(abs(s) ** (1.0 / p), int(e))
 
 
 def log_moment(sample, k: int) -> float:

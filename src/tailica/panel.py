@@ -329,7 +329,10 @@ def read_wide_csv(path_or_file) -> SamplePanel:
                 raise DataError(
                     f"line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            dates.append(_check_date(row[0].strip(), f"line {lineno}"))
+            date = _check_date(row[0].strip(), f"line {lineno}")
+            if dates and date <= dates[-1]:
+                raise DataError(f"line {lineno}: row dates not strictly increasing at {date!r}")
+            dates.append(date)
             try:
                 rows.append([float(v) for v in row[1:]])
             except ValueError:
@@ -339,7 +342,7 @@ def read_wide_csv(path_or_file) -> SamplePanel:
             handle.close()
     if not rows:
         raise DataError("no data rows in input")
-    return SamplePanel(np.array(rows), columns, tuple(dates))
+    return SamplePanel(np.array(rows), columns, _RowIndex(dates))
 
 
 def write_wide_csv(panel: SamplePanel, path_or_file) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, TieWarning
+from .moments import _pow2_scale
 from .panel import SamplePanel
 
 __all__ = [
@@ -81,10 +82,7 @@ def tail_covariance(
     if check_centered:
         _check_centered(data, components.column_ids)
     m, d = data.shape
-    col_inf = np.abs(data).max(axis=0)
-    _, exp2 = np.frexp(col_inf)
-    exp2 = np.where(col_inf > 0.0, exp2, 0)
-    ratios = np.ldexp(data, -exp2[np.newaxis, :])
+    ratios, exp2 = _pow2_scale(data)
     powers = ratios ** (2 * k - 1)
     values = data.T @ powers / m
     values = np.ldexp(values, (exp2 * (2 * k - 1))[np.newaxis, :])

@@ -71,7 +71,7 @@ class WhiteningTransform:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # one eigenvector per column; make the largest-magnitude entry positive
+    # one vector per column; make the largest-magnitude entry positive
     idx = np.abs(vectors).argmax(axis=0)
     flips = np.where(vectors[idx, np.arange(vectors.shape[1])] < 0.0, -1.0, 1.0)
     return vectors * flips[np.newaxis, :]

@@ -1,5 +1,6 @@
 """Tests for the synthetic market, tail reports and the experiment driver."""
 
+import dataclasses
 import datetime
 import math
 
@@ -25,7 +26,9 @@ from tailica.evaluate import (
     scatter_to_csv,
     tail_histogram,
 )
-from tailica.panel import SamplePanel
+from tailica.ica import ContrastSpec, UnmixingMatrix, fit_ica, kkt_residual, transform
+from tailica.panel import SamplePanel, split_buckets
+from tailica.whiten import apply_whitening, fit_whitening
 
 # asymptotic offset between Gaussian entropy and the order-10 log root
 # moment: ln sqrt(2 pi e) - ln(945)/10, with 945 = E[Z^10]
@@ -146,8 +149,10 @@ def test_market_spec_validation():
         SyntheticMarketSpec(vol_range=(0.0, 1.0))
     with pytest.raises(DataError):
         SyntheticMarketSpec(crash_prob=1.5)
-    with pytest.raises(DataError):
-        SyntheticMarketSpec(start_date="01/01/2020")
+    # 2014-W01-1 would silently start the market on 2013-12-30
+    for bad in ("01/01/2020", "20140101", "2014-W01-1"):
+        with pytest.raises(DataError):
+            SyntheticMarketSpec(start_date=bad)
     with pytest.raises(DataError):
         SyntheticMarketSpec(nu_factor=2.0)
 
@@ -298,7 +303,7 @@ def test_run_experiment_report_cardinality_and_order():
     panel = small_t_market(seed=6)
     boundary = panel.row_ids[panel.m // 2]
     reports = run_experiment(
-        panel, boundary, d=6, k_list=[2, 3], max_iter=150, max_workers=1
+        panel, boundary, d=6, k_list=[2, 3], max_iter=150
     )
     assert [(r.k, r.bucket) for r in reports] == [
         (2, "in"),
@@ -310,29 +315,43 @@ def test_run_experiment_report_cardinality_and_order():
 
 
 def test_run_experiment_is_deterministic_across_scheduling():
+    # the pooled run must equal, bit for bit, the same public calls made
+    # one contrast order at a time on this thread
     panel = small_t_market(seed=7)
     boundary = panel.row_ids[panel.m // 2]
-    kwargs = dict(d=5, k_list=[2, 3], max_iter=150)
-    a = run_experiment_artifacts(panel, boundary, max_workers=1, **kwargs)
-    b = run_experiment_artifacts(panel, boundary, max_workers=1, **kwargs)
-    c = run_experiment_artifacts(panel, boundary, max_workers=2, **kwargs)
-    for other in (b, c):
-        for k in (2, 3):
-            assert np.array_equal(a.unmixings[k].w, other.unmixings[k].w)
-            assert a.kkt[k] == other.kkt[k]
-            assert a.identity_kkt[k] == other.identity_kkt[k]
-        for ra, ro in zip(a.reports, other.reports):
-            assert ra.pooled_abs_q999 == ro.pooled_abs_q999
-            assert np.array_equal(ra.counts, ro.counts)
-        assert a.scatter_in == other.scatter_in
-        assert a.scatter_out == other.scatter_out
+    k_list = [2, 3, 4]
+    art = run_experiment_artifacts(panel, boundary, d=5, k_list=k_list, seed=1, max_iter=150)
+
+    split = split_buckets(panel, boundary)
+    white = fit_whitening(split.in_sample, 5)
+    z_in = apply_whitening(white, split.in_sample)
+    z_out = apply_whitening(white, split.out_sample)
+    identity = UnmixingMatrix(np.eye(5), k=1, seed=1, iterations=0, converged=True)
+    reports = []
+    for k in k_list:
+        w = fit_ica(z_in, ContrastSpec(k), seed=1, max_iter=150)
+        got = art.unmixings[k]
+        assert np.array_equal(got.w, w.w)
+        assert (got.iterations, got.converged) == (w.iterations, w.converged)
+        reports += [
+            build_tail_report(transform(w, z_in), k, "in"),
+            build_tail_report(transform(w, z_out), k, "out"),
+        ]
+        assert art.kkt[k] == kkt_residual(z_in, w, k)
+        assert art.identity_kkt[k] == kkt_residual(z_in, identity, k)
+    assert len(art.reports) == len(reports)
+    for got, want in zip(art.reports, reports):
+        for field in dataclasses.fields(TailReport):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+    assert art.scatter_in == scatter_moment_entropy(split.in_sample, "in")
+    assert art.scatter_out == scatter_moment_entropy(split.out_sample, "out")
 
 
 def test_run_experiment_artifacts_structure():
     panel = small_t_market(seed=8)
     boundary = panel.row_ids[panel.m // 2]
     art = run_experiment_artifacts(
-        panel, boundary, d=4, k_list=[2], max_iter=100, max_workers=1
+        panel, boundary, d=4, k_list=[2], max_iter=100
     )
     assert isinstance(art, ExperimentArtifacts)
     assert set(art.unmixings) == {2}
@@ -361,7 +380,7 @@ def test_gaussian_market_central_mass_stable_across_orders():
     panel = generate_market(spec)
     boundary = panel.row_ids[panel.m // 2]
     reports = run_experiment(
-        panel, boundary, d=10, k_list=[2, 10], max_iter=200, max_workers=1
+        panel, boundary, d=10, k_list=[2, 10], max_iter=200
     )
     cm = {(r.k, r.bucket): r.central_mass for r in reports}
     for bucket in ("in", "out"):
@@ -376,21 +395,6 @@ def test_run_experiment_validates_k_list():
         run_experiment(panel, boundary, d=3, k_list=[])
     with pytest.raises(ValueError):
         run_experiment(panel, boundary, d=3, k_list=[2, 2])
-
-
-def test_worker_count_env_parsing(monkeypatch):
-    panel = small_t_market(seed=10, n=6, m=200)
-    boundary = panel.row_ids[panel.m // 2]
-    monkeypatch.setenv("TAILICA_THREADS", "not-a-number")
-    with pytest.raises(ValueError, match="TAILICA_THREADS"):
-        run_experiment(panel, boundary, d=3, k_list=[2], max_iter=20)
-    monkeypatch.setenv("TAILICA_THREADS", "1")
-    reports = run_experiment(panel, boundary, d=3, k_list=[2], max_iter=20)
-    assert len(reports) == 2
-    with pytest.raises(ValueError):
-        run_experiment(
-            panel, boundary, d=3, k_list=[2], max_iter=20, max_workers=-1
-        )
 
 
 def test_report_to_dict_is_json_ready():

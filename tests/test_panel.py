@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import tailica.panel as panel_module
 from tailica.errors import DataError, DroppedDataWarning
 from tailica.ica import UnmixingMatrix, transform
 from tailica.panel import (
@@ -423,3 +424,27 @@ def test_read_wide_csv_errors():
         )
     with pytest.raises(DataError, match="line 2"):
         read_wide_csv(io.StringIO("date,AAA\n2020-01-01,abc\n"))
+    # out of order: reported on its line, ahead of a later bad field
+    with pytest.raises(DataError, match="line 3: row dates not strictly increasing"):
+        read_wide_csv(io.StringIO("date,AAA\n2020-01-02,1.0\n2020-01-01,2.0\n2020-01-03,x\n"))
+    with pytest.raises(DataError, match="line 3: row dates not strictly increasing"):
+        read_wide_csv(io.StringIO("date,AAA\n2020-01-02,1.0\n2020-01-02,2.0\n"))
+
+
+def test_read_wide_csv_checks_each_date_once(monkeypatch):
+    start = datetime.date(2020, 1, 1)
+    dates = tuple((start + datetime.timedelta(days=i)).isoformat() for i in range(200))
+    p = make_panel(np.zeros((200, 2)), dates=dates)
+    buf = io.StringIO()
+    write_wide_csv(p, buf)
+    calls = []
+    check = panel_module._check_date
+
+    def counting_check(text, context):
+        calls.append(text)
+        return check(text, context)
+
+    monkeypatch.setattr(panel_module, "_check_date", counting_check)
+    q = read_wide_csv(io.StringIO(buf.getvalue()))
+    assert q.row_ids == p.row_ids
+    assert len(calls) == 200

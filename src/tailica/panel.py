@@ -346,13 +346,17 @@ def read_wide_csv(path_or_file) -> SamplePanel:
 
 
 def write_wide_csv(panel: SamplePanel, path_or_file) -> None:
-    """Write a panel in wide format; floats use repr for exact round-trip."""
+    """Write a panel in wide format; floats use repr for exact round-trip.
+
+    Only the header goes through ``csv.writer``, since column ids may need
+    quoting.  Data rows are joined directly: dates are canonical
+    ``YYYY-MM-DD`` and values are finite floats, so no field needs quoting.
+    """
     handle, owned = _open_text(path_or_file, "w")
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("date",) + panel.column_ids)
-        for i, date in enumerate(panel.row_ids):
-            writer.writerow([date] + [repr(v) for v in panel.data[i].tolist()])
+        csv.writer(handle, lineterminator="\n").writerow(("date",) + panel.column_ids)
+        for date, row in zip(panel.row_ids, panel.data):
+            handle.write(date + "," + ",".join(map(repr, row.tolist())) + "\n")
     finally:
         if owned:
             handle.close()

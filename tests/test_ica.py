@@ -1,11 +1,14 @@
 """Tests for the fixed-point unmixing search and its diagnostics."""
 
 import datetime
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import tailica.ica as ica_module
 from tailica.errors import DataError, NumericalError
+from tailica.evaluate import SyntheticMarketSpec, generate_market
 from tailica.ica import (
     ContrastSpec,
     KktResidual,
@@ -17,7 +20,7 @@ from tailica.ica import (
     unmixing_from_csv,
     unmixing_to_csv,
 )
-from tailica.panel import SamplePanel
+from tailica.panel import SamplePanel, split_buckets
 from tailica.tailcov import tail_covariance
 from tailica.whiten import apply_whitening, fit_whitening
 
@@ -302,3 +305,68 @@ def test_kkt_residual_dataclass_fields():
     r = KktResidual(off_diagonal_max=0.5, orthonormality_max=1e-12)
     assert r.off_diagonal_max == 0.5
     assert r.orthonormality_max == 1e-12
+
+
+def test_int_power_matches_np_power():
+    # Powers 0..19 cover r**(2k-2) and r**(2k-1) for k = 1..10.  A chain of
+    # p - 1 roundings is off by at most p - 1 half-ulps, np.power by one ulp;
+    # values that end up subnormal or underflow are off by a few subnormal
+    # steps at most.
+    rng = np.random.default_rng(90)
+    x = np.concatenate([
+        rng.uniform(-1.0, 1.0, 20000),
+        [0.0, -0.0, 1e-300, -1e-200, 5e-324, 1e-20, -1e-17, 3e-16, 0.999999, -0.5],
+    ])
+    for p in range(20):
+        want = np.power(x, p)
+        got = ica_module._int_power(x, p)
+        err = np.abs(got - want)
+        assert np.all(err <= max(p, 1) * np.spacing(np.abs(want)) + 4 * 5e-324), p
+        assert np.array_equal(np.signbit(got), np.signbit(want)), p
+    assert np.array_equal(ica_module._int_power(x, 2), x * x)
+    assert np.array_equal(ica_module._int_power(x, 1), x)
+    assert np.array_equal(ica_module._int_power(x, 0), np.ones_like(x))
+
+
+def test_fit_with_repeated_squaring_matches_np_power(monkeypatch):
+    market = generate_market(SyntheticMarketSpec())
+    split = split_buckets(market, market.row_ids[market.m // 2])
+    z = apply_whitening(fit_whitening(split.in_sample, 30), split.in_sample)
+    ks = (1, 2, 3, 4, 10)
+    fast = {k: fit_ica(z, ContrastSpec(k), seed=0) for k in ks}
+    monkeypatch.setattr(ica_module, "_int_power", lambda x, p: np.power(x, p))
+    for k in ks:
+        ref = fit_ica(z, ContrastSpec(k), seed=0)
+        assert (fast[k].iterations, fast[k].converged) == (ref.iterations, ref.converged), k
+        assert np.abs(fast[k].w - ref.w).max() < 1e-9, k
+
+
+def test_fit_keeps_at_most_two_full_size_buffers():
+    # Besides its input the solver holds two m x d arrays at once: the
+    # projections and one power (or, while scaling, the projections and their
+    # absolute values).  A buffer kept across iterations shows as a third,
+    # an np.power temporary next to a power as well.  Half an array covers
+    # the d x d and length-d temporaries.
+    rng = np.random.default_rng(91)
+    z, _ = whitened(rng.laplace(size=(150_000, 4)))
+    array_bytes = z.data.nbytes
+    for k in (2, 10):
+        tracemalloc.start()
+        try:
+            fit_ica(z, ContrastSpec(k), seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * array_bytes, (k, peak / array_bytes)
+
+
+def test_high_order_fit_stays_orthonormal_on_an_ill_conditioned_update():
+    # Laplace sources of one benchmark sub-problem (seed 252): the k=10 fit
+    # on the first 150,000 rows drove an (W W')^(-1/2) W projection to
+    # max |W'W - I| = 1.8e-7, and the fit raised its own DataError.
+    rng = np.random.default_rng(252)
+    sources = rng.laplace(0.0, 1.0, size=(200_000, 4))
+    mixing, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    z, _ = whitened((sources @ mixing.T)[:150_000])
+    W = fit_ica(z, ContrastSpec(10), seed=252)
+    assert np.abs(W.w.T @ W.w - np.eye(4)).max() < 1e-12

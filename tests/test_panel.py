@@ -1,5 +1,6 @@
 """Tests for panel construction, CSV ingestion and bucket splitting."""
 
+import csv
 import datetime
 import io
 import warnings
@@ -411,6 +412,23 @@ def test_wide_csv_works_with_file_objects():
     write_wide_csv(p, buf)
     q = read_wide_csv(io.StringIO(buf.getvalue()))
     assert np.array_equal(q.data, p.data)
+
+
+def test_wide_csv_matches_a_csv_writer_reference():
+    rng = np.random.default_rng(7)
+    data = rng.standard_t(df=3, size=(4, 4)) * 10.0 ** rng.integers(-300, 300, size=(4, 4))
+    data[0, 0], data[1, 1], data[2, 2] = -0.0, 5e-324, -1.0
+    columns = ("a,b", 'say "hi"', " lead", "plain")
+    p = make_panel(data, columns=columns)
+    buf = io.StringIO()
+    write_wide_csv(p, buf)
+    ref = io.StringIO()
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(("date",) + columns)
+    for date, row in zip(DATES4, data):
+        writer.writerow([date] + [repr(v) for v in row.tolist()])
+    assert buf.getvalue() == ref.getvalue()
+    assert read_wide_csv(io.StringIO(buf.getvalue())).column_ids == ("a,b", 'say "hi"', "lead", "plain")
 
 
 def test_read_wide_csv_errors():

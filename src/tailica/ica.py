@@ -17,11 +17,19 @@ few bits, which a fixed-point step tolerates: it needs a direction, not
 bitwise powers.  ``moments`` and ``tailcov`` keep ``np.power``, because
 their results are promised to match direct evaluation bit for bit
 wherever it does not overflow.
+
+Each step orthogonalizes with one SVD of the update, rescaled by a power
+of two.  Its singular values also decide whether the update is rank
+deficient, and only then is it shifted along W and decomposed a second
+time.  On the default experiment's market (in-sample half whitened to
+d = 30, solver seed 0) every order k = 1 ... 117 was measured to return
+with max |W'W - I| <= 3e-15, converged except at k = 4, which runs to its
+iteration cap.  From k = 118 the order-2k gradient overflows float64 and
+the fit raises ``NumericalError`` (CLI exit code 3).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +56,6 @@ __all__ = [
 # point (quadratic contrast on white data, or exactly Gaussian columns)
 _STATIONARY_EPS = 1e-11
 
-# relative eigenvalue cutoff below which the update gram matrix is treated
-# as rank deficient and the iterate is stabilized before orthogonalization
-_GRAM_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class ContrastSpec:
@@ -63,15 +67,6 @@ class ContrastSpec:
         if int(self.k) < 1:
             raise ValueError(f"contrast order k must be >= 1, got {self.k}")
         object.__setattr__(self, "k", int(self.k))
-
-    def G(self, u):
-        return u ** (2 * self.k) / (2 * self.k)
-
-    def g(self, u):
-        return u ** (2 * self.k - 1)
-
-    def g_prime(self, u):
-        return (2 * self.k - 1) * u ** (2 * self.k - 2)
 
 
 def _orthonormality_error(w: np.ndarray) -> float:
@@ -113,21 +108,6 @@ class KktResidual:
 
     off_diagonal_max: float
     orthonormality_max: float
-
-
-def _sym_orthogonalize(w: np.ndarray) -> np.ndarray:
-    """Project to the nearest orthonormal matrix, the polar factor U V' of W = U S V'.
-
-    Taken from the SVD rather than as (W W')^(-1/2) W: forming W W' squares
-    the condition number, which left max |W'W - I| above 1e-8 on some
-    ill-conditioned high-order updates.
-    """
-    u, s, vt = np.linalg.svd(w)
-    if s[-1] ** 2 <= 1e-12 * s[0] ** 2:
-        raise NumericalError(
-            "symmetric orthogonalization failed: update matrix is numerically singular"
-        )
-    return u @ vt
 
 
 def _int_power(x: np.ndarray, p: int) -> np.ndarray:
@@ -205,22 +185,35 @@ def fit_ica(
     converged = False
     for iterations in range(1, int(max_iter) + 1):
         update = _raw_update(y, w, k)
-        if np.abs(update).max() < _STATIONARY_EPS:
+        size = np.abs(update).max()
+        if not np.isfinite(size):
+            raise NumericalError(
+                f"fixed-point update for contrast order k={k} overflowed float64"
+            )
+        if size < _STATIONARY_EPS:
             converged = True
             break
-        # High contrast orders can drive the raw update to numerical rank
-        # one (every column dominated by the same few extreme rows), which
-        # would make the orthogonalization blow up.  Only then, shift the
-        # update along the current W: the shifted matrix has smallest
-        # singular value >= the raw spectral norm, and stationary points
-        # are unchanged because there the update is already column-wise
-        # parallel to W.  Well-conditioned updates pass through untouched,
-        # keeping the fast local convergence of the plain iteration.
-        gram_evals = np.linalg.eigvalsh(update @ update.T)
-        if gram_evals[0] <= _GRAM_EPS * gram_evals[-1]:
-            sigma = math.sqrt(float(gram_evals[-1]))
-            update = update + 2.0 * sigma * w
-        w_new = _sym_orthogonalize(update)
+        # The polar factor U V' of the update, the nearest orthonormal
+        # matrix, ignores a positive scale, so the update is first brought to
+        # max-abs in [1/2, 1) by an exact power of two.  On the default market
+        # its entries pass 1e154, where squares overflow, from k = 60, and
+        # near 1e308, where the shift below would, at k = 117.
+        #
+        # One SVD then both decides the rank and gives U V'.  High contrast
+        # orders can drive the update to numerical rank one (every column
+        # dominated by the same few extreme rows).  Only then, shift it along
+        # the current W by twice its spectral norm s_0: by Weyl's inequality
+        # the shifted matrix has singular values in [s_0, 3 s_0], so its polar
+        # factor is well defined, and stationary points are unchanged because
+        # there the update is already column-wise parallel to W.  Without the
+        # shift the ratio test has just passed, so U V' is well defined as it
+        # stands, and well-conditioned updates keep the fast local
+        # convergence of the plain iteration.
+        update = np.ldexp(update, -np.frexp(size)[1])
+        u, s, vt = np.linalg.svd(update)
+        if s[-1] ** 2 <= 1e-12 * s[0] ** 2:
+            u, _, vt = np.linalg.svd(update + 2.0 * s[0] * w)
+        w_new = u @ vt
         alignment = np.abs(np.sum(w_new * w, axis=0))
         delta = 1.0 - float(alignment.min())
         w = w_new

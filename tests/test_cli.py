@@ -332,6 +332,13 @@ def test_numerical_error_exit_code(monkeypatch, tmp_path, market_csv, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_overflowing_fit_is_a_numerical_error(tmp_path, capsys):
+    # The order-300 gradient of the default market exceeds float64.
+    rc = main(["eval", "--k", "150", "--max-iter", "5", "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "numerical error" in capsys.readouterr().err
+
+
 def test_version_and_help(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out

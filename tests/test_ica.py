@@ -22,7 +22,7 @@ from tailica.ica import (
 )
 from tailica.panel import SamplePanel, split_buckets
 from tailica.tailcov import tail_covariance
-from tailica.whiten import apply_whitening, fit_whitening
+from tailica.whiten import _fix_signs, apply_whitening, fit_whitening
 
 
 def panel_from(data, columns=None):
@@ -45,18 +45,6 @@ def whitened(data):
 def rotation(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-def test_contrast_derivatives_match_finite_differences():
-    spec = ContrastSpec(3)
-    h = 1e-5
-    for u in np.linspace(-2.0, 2.0, 9):
-        if abs(u) < 0.3:
-            continue  # relative differencing is meaningless near the root
-        dG = (spec.G(u + h) - spec.G(u - h)) / (2 * h)
-        assert dG == pytest.approx(spec.g(u), rel=1e-6)
-        dg = (spec.g(u + h) - spec.g(u - h)) / (2 * h)
-        assert dg == pytest.approx(spec.g_prime(u), rel=1e-6)
 
 
 def test_contrast_validation():
@@ -370,3 +358,70 @@ def test_high_order_fit_stays_orthonormal_on_an_ill_conditioned_update():
     z, _ = whitened((sources @ mixing.T)[:150_000])
     W = fit_ica(z, ContrastSpec(10), seed=252)
     assert np.abs(W.w.T @ W.w - np.eye(4)).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def default_white():
+    """The default experiment's in-sample half, whitened to d = 30."""
+    market = generate_market(SyntheticMarketSpec())
+    split = split_buckets(market, market.row_ids[market.m // 2])
+    return apply_whitening(fit_whitening(split.in_sample, 30), split.in_sample)
+
+
+def _gram_gate_fit(z, k, seed, tol=1e-8, max_iter=1000):
+    """Fixed-point fit with the rank gate on the update's gram matrix.
+
+    The step written out longhand: eigenvalues of A A' for the update A
+    decide the rank, the shift is twice the square root of the largest
+    one, and the polar factor comes from a separate SVD.  Returns the signed W, the
+    iteration count, the convergence flag and how often the shift fired.
+    """
+    y = z.data
+    d = y.shape[1]
+    w, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    converged = False
+    shifts = 0
+    for iterations in range(1, max_iter + 1):
+        update = ica_module._raw_update(y, w, k)
+        if np.abs(update).max() < 1e-11:
+            converged = True
+            break
+        gram_evals = np.linalg.eigvalsh(update @ update.T)
+        if gram_evals[0] <= 1e-12 * gram_evals[-1]:
+            update = update + 2.0 * np.sqrt(gram_evals[-1]) * w
+            shifts += 1
+        u, _, vt = np.linalg.svd(update)
+        w_new = u @ vt
+        delta = 1.0 - np.abs(np.sum(w_new * w, axis=0)).min()
+        w = w_new
+        if delta < tol:
+            converged = True
+            break
+    return _fix_signs(w), iterations, converged, shifts
+
+
+def test_singular_value_gate_matches_the_gram_gate(default_white):
+    # k=2 never shifts, k=3 shifts once, k=10 shifts on every iteration.
+    for k in (2, 3, 10):
+        ref_w, ref_iterations, ref_converged, shifts = _gram_gate_fit(default_white, k, seed=0)
+        assert shifts == {2: 0, 3: 1, 10: ref_iterations}[k], (k, shifts)
+        W = fit_ica(default_white, ContrastSpec(k), seed=0)
+        assert (W.iterations, W.converged) == (ref_iterations, ref_converged), k
+        assert np.abs(W.w - ref_w).max() < 1e-12, k
+
+
+def test_fit_stays_orthonormal_at_high_orders(default_white):
+    # From k=60 the update's entries pass 1e154, where its gram matrix
+    # overflowed and the fit raised LinAlgError; at k=117 they near 1e308,
+    # where the unscaled shifted update overflowed inside the SVD.
+    for k in (60, 100, 117):
+        W = fit_ica(default_white, ContrastSpec(k), seed=0)
+        assert W.converged, k
+        assert np.abs(W.w.T @ W.w - np.eye(30)).max() < 1e-12, k
+
+
+def test_overflowing_update_raises_numerical_error(default_white):
+    # The order-300 gradient exceeds float64 on the first iteration.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="k=150"):
+            fit_ica(default_white, ContrastSpec(150), seed=0, max_iter=5)

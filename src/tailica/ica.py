@@ -16,7 +16,8 @@ cost per element.  The powers then differ from ``np.power`` in their last
 few bits, which a fixed-point step tolerates: it needs a direction, not
 bitwise powers.  ``moments`` and ``tailcov`` keep ``np.power``, because
 their results are promised to match direct evaluation bit for bit
-wherever it does not overflow.
+wherever it does not overflow.  The projections are formed in column
+order, so that their per-column max and rescaling read contiguous memory.
 
 Each step orthogonalizes with one SVD of the update, rescaled by a power
 of two.  Its singular values also decide whether the update is rank
@@ -129,18 +130,20 @@ def _int_power(x: np.ndarray, p: int) -> np.ndarray:
 def _raw_update(y: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     """Fixed-point update E[y g(w'y)] - E[g'(w'y)] w of every column of W.
 
-    Powers are taken of the power-of-two rescaled projections, so they
-    cannot overflow, and the scale is reapplied exactly with ``ldexp``.
+    Powers are taken of the power-of-two rescaled projections (W'Y')', so
+    they cannot overflow, and the scale is reapplied exactly with ``ldexp``.
     r**(2k-1) is built in place from r**(2k-2) after the damping mean is
     read off it.  The m x d buffers are locals, freed on return, so no more
     than two of them are live at once.
     """
-    r, exp2 = _pow2_scale(y @ w)
+    r, exp2 = _pow2_scale((w.T @ y.T).T)
     power = _int_power(r, 2 * k - 2)
-    damp = np.ldexp((2 * k - 1) * np.mean(power, axis=0), exp2 * (2 * k - 2))
-    np.multiply(power, r, out=power)
-    grad = np.ldexp(y.T @ power / y.shape[0], exp2 * (2 * k - 1))
-    return grad - w * damp[np.newaxis, :]
+    # past float64 the scale overflows; fit_ica raises on the non-finite update
+    with np.errstate(over="ignore", invalid="ignore"):
+        damp = np.ldexp((2 * k - 1) * np.mean(power, axis=0), exp2 * (2 * k - 2))
+        np.multiply(power, r, out=power)
+        grad = np.ldexp(y.T @ power / y.shape[0], exp2 * (2 * k - 1))
+        return grad - w * damp[np.newaxis, :]
 
 
 def _check_white(panel: SamplePanel) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TieWarning
+from .errors import DataError, NumericalError, TieWarning
 from .moments import _pow2_scale
 from .panel import SamplePanel
 
@@ -72,8 +72,9 @@ def tail_covariance(
     Columns are expected to be centered; ``check_centered=False`` skips the
     check for raw mixed-moment use (diagnostics on uncentered series).
     Each power column is rescaled by an exact power of two bracketing its
-    max absolute value before summation, so entries never overflow and
-    match direct evaluation bit for bit when the direct form is in range.
+    max absolute value before summation, so sums never overflow and match
+    direct evaluation bit for bit when the direct form is in range.  An
+    entry beyond the float64 range raises :class:`NumericalError`.
     """
     k = int(k)
     if k < 1:
@@ -85,7 +86,10 @@ def tail_covariance(
     ratios, exp2 = _pow2_scale(data)
     powers = ratios ** (2 * k - 1)
     values = data.T @ powers / m
-    values = np.ldexp(values, (exp2 * (2 * k - 1))[np.newaxis, :])
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values, (exp2 * (2 * k - 1))[np.newaxis, :])
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"tail covariance of order k={k} exceeds the float64 range")
     return TailCovarianceMatrix(k, values, components.column_ids)
 
 
@@ -124,14 +128,15 @@ def max_overlap_covariance(components: SamplePanel, check_centered: bool = True)
 def off_diagonal_stats(matrix: np.ndarray) -> tuple:
     """(max absolute off-diagonal entry, Frobenius norm of the off-diagonal part).
 
-    Diagnostics for how diagonal a tail covariance is; no normalization
-    is applied.
+    Diagnostics for how diagonal a tail covariance is, unnormalized; the
+    norm is summed over entries divided by the largest, so cannot overflow.
     """
     a = np.asarray(matrix, dtype=np.float64)
     off = a - np.diag(np.diag(a))
-    if a.shape[0] < 2:
+    top = float(np.abs(off).max()) if a.shape[0] > 1 else 0.0
+    if top == 0.0:
         return 0.0, 0.0
-    return float(np.abs(off).max()), float(np.sqrt((off**2).sum()))
+    return top, top * float(np.sqrt(((off / top) ** 2).sum()))
 
 
 def tail_covariance_to_csv(tc: TailCovarianceMatrix) -> str:

@@ -339,6 +339,13 @@ def test_overflowing_fit_is_a_numerical_error(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_overflowing_tail_covariance_is_a_numerical_error(tmp_path, capsys):
+    # The k=117 fit returns; its order-234 tail covariance exceeds float64.
+    rc = main(["eval", "--k", "2,117", "--out", str(tmp_path / "r")])
+    assert rc == 3
+    assert "numerical error" in capsys.readouterr().err
+
+
 def test_version_and_help(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import datetime
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tailica.ica import (
     unmixing_from_csv,
     unmixing_to_csv,
 )
+from tailica.moments import _pow2_scale
 from tailica.panel import SamplePanel, split_buckets
 from tailica.tailcov import tail_covariance
 from tailica.whiten import _fix_signs, apply_whitening, fit_whitening
@@ -425,3 +427,47 @@ def test_overflowing_update_raises_numerical_error(default_white):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="k=150"):
             fit_ica(default_white, ContrastSpec(150), seed=0, max_iter=5)
+
+
+def test_overflowing_update_raises_without_a_runtime_warning(default_white):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="k=150"):
+            fit_ica(default_white, ContrastSpec(150), seed=0, max_iter=5)
+
+
+def _c_order_update(y, w, k):
+    """The fixed-point update from C-ordered projections y @ w, written out."""
+    r, exp2 = _pow2_scale(y @ w)
+    power = ica_module._int_power(r, 2 * k - 2)
+    damp = np.ldexp((2 * k - 1) * np.mean(power, axis=0), exp2 * (2 * k - 2))
+    np.multiply(power, r, out=power)
+    grad = np.ldexp(y.T @ power / y.shape[0], exp2 * (2 * k - 1))
+    return grad - w * damp[np.newaxis, :]
+
+
+@pytest.fixture(scope="module")
+def tall_white():
+    """A whitened 150,000 x 4 Laplace panel, the benchmark's in-sample shape."""
+    return whitened(np.random.default_rng(94).laplace(size=(150_000, 4)))[0]
+
+
+@pytest.mark.parametrize("panel", ["default_white", "tall_white"])
+def test_column_ordered_update_matches_the_c_order_form(panel, request, monkeypatch):
+    # Only the layout of the projections changes; the powers, the damping
+    # mean and y' @ power are taken in C order as before.  Bit for bit equal
+    # with OpenBLAS; the bound leaves room for a BLAS that rounds the two
+    # products of the projections differently.
+    z = request.getfixturevalue(panel)
+    rng = np.random.default_rng(95)
+    for k in (2, 10):
+        w, _ = np.linalg.qr(rng.standard_normal((z.n, z.n)))
+        got = ica_module._raw_update(z.data, w, k)
+        want = _c_order_update(z.data, w, k)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), k
+    fits = {k: fit_ica(z, ContrastSpec(k), seed=0) for k in (2, 10)}
+    monkeypatch.setattr(ica_module, "_raw_update", _c_order_update)
+    for k, W in fits.items():
+        ref = fit_ica(z, ContrastSpec(k), seed=0)
+        assert (W.iterations, W.converged) == (ref.iterations, ref.converged), k
+        assert np.abs(W.w - ref.w).max() < 1e-12, k

@@ -1,5 +1,6 @@
 """Tests for panel construction, CSV ingestion and bucket splitting."""
 
+import collections
 import csv
 import datetime
 import io
@@ -213,6 +214,73 @@ def test_derived_panels_still_check_data_and_shape():
     # slices of the row index are plain tuples, so order is checked again
     with pytest.raises(DataError, match="strictly increasing"):
         SamplePanel(p.data, p.column_ids, p.row_ids[::-1])
+
+
+def _reference_row_index(rows):
+    """The row-index checks written out as one loop per row."""
+    rows = tuple(str(r) for r in rows)
+    for r in rows:
+        panel_module._check_date(r, "row id")
+    for a, b in zip(rows, rows[1:]):
+        if a >= b:
+            raise DataError(f"row dates not strictly increasing at {b!r}")
+    return rows
+
+
+ROW_ID_CASES = [
+    "1800-02-29", "1900-02-29", "2000-02-29", "2004-02-29", "2100-02-29", "2020-02-30",
+    "2020-00-10", "2020-13-01", "2020-01-00", "2020-01-32", "2020-04-31", "2020-12-31",
+    "0000-01-01", "0001-01-01", "9999-12-31", "2020-0\u0663-01", "2020-01-1", "2020-01-011",
+    "+020-01-01", "2020 01-01", "2020-01T01", "20200101", "2020-W01-1", "", "2020/01/01",
+]  # fmt: skip
+
+
+def _random_row_ids(rng):
+    """A short tuple of row ids: mostly increasing dates, some broken."""
+    m = int(rng.integers(2, 7))
+    days = np.sort(rng.choice(3_652_059, size=m, replace=False))
+    dates = [datetime.date.fromordinal(int(o) + 1).isoformat() for o in days]
+    rows = list(dates)
+    for _ in range(int(rng.integers(0, 3))):
+        i = int(rng.integers(m))
+        kind = int(rng.integers(5))
+        if kind == 0:
+            rows[i] = ROW_ID_CASES[int(rng.integers(len(ROW_ID_CASES)))]
+        elif kind == 1:  # one character replaced
+            j = int(rng.integers(10))
+            c = "0123456789-+ T/\u0663"[int(rng.integers(16))]
+            rows[i] = rows[i][:j] + c + rows[i][j + 1 :]
+        elif kind == 2:  # one character dropped or added
+            rows[i] = rows[i][:-1] if rng.random() < 0.5 else rows[i] + "1"
+        elif kind == 3:  # a repeat
+            rows[i] = rows[int(rng.integers(m))]
+        else:  # a descending pair
+            j = int(rng.integers(m))
+            rows[i], rows[j] = rows[j], rows[i]
+    i = int(rng.integers(m))
+    if rng.random() < 0.1 and rows[i] in dates:
+        rows[i] = datetime.date.fromisoformat(rows[i])  # not a string
+    return tuple(rows)
+
+
+def _outcome(build, rows):
+    try:
+        return "ok", build(rows)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_row_index_check_matches_a_loop_reference():
+    rng = np.random.default_rng(20)
+    cases = [("2019-12-31", c) for c in ROW_ID_CASES] + [(c, "9999-12-31") for c in ROW_ID_CASES]
+    cases += [_random_row_ids(rng) for _ in range(6000)]
+    kinds = collections.Counter()
+    for rows in cases:
+        expected = _outcome(_reference_row_index, rows)
+        got = _outcome(lambda r: SamplePanel(np.zeros((len(r), 1)), ("a",), r).row_ids, rows)
+        assert got == expected, rows
+        kinds["ok" if got[0] == "ok" else "order" if "increasing" in got[1] else "date"] += 1
+    assert kinds.keys() == {"ok", "date", "order"} and min(kinds.values()) > 1000
 
 
 def test_split_buckets_matches_a_linear_scan_at_every_boundary():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tailica.errors import DataError, TieWarning
+from tailica.errors import DataError, NumericalError, TieWarning
 from tailica.panel import SamplePanel, center
 from tailica.tailcov import (
     TailCovarianceMatrix,
@@ -177,6 +177,25 @@ def test_off_diagonal_stats():
     assert max_off == 3.0
     assert frob == pytest.approx(np.sqrt(4 + 1 + 0.25 + 9 + 4), rel=1e-15)
     assert off_diagonal_stats(np.array([[4.0]])) == (0.0, 0.0)
+
+
+def test_off_diagonal_stats_do_not_overflow():
+    m = np.array([[5.0, 2.0, -1.0], [0.5, 7.0, 0.0], [3.0, -2.0, 9.0]])
+    unit = off_diagonal_stats(m)
+    with np.errstate(all="raise"):
+        max_off, frob = off_diagonal_stats(m * 1e200)
+    assert max_off == 3e200
+    assert np.isfinite(frob)
+    assert frob == pytest.approx(1e200 * unit[1], rel=1e-15)
+    assert off_diagonal_stats(np.diag([1e300, -1e300])) == (0.0, 0.0)
+
+
+def test_overflowing_tail_covariance_is_a_numerical_error():
+    rng = np.random.default_rng(31)
+    p = center(panel_from(rng.standard_normal((50, 3)) * 1e200))
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(NumericalError, match="k=2"):
+            tail_covariance(p, 2, check_centered=False)
 
 
 def test_matrix_validation():

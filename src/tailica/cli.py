@@ -47,10 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class Opt:
-    """One CLI option: flag spelling, value kind and its real default."""
+    """One CLI option: flag spelling, value converter and its real default."""
 
     flag: str
-    kind: str  # int | float | str | bool | int_list | window
+    type: object  # converts a flag or config string to the value
     default: object = None
     help: str = ""
     required: bool = False
@@ -66,14 +66,14 @@ def _parse_bool(text: str) -> bool:
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
 def _parse_int_list(text: str) -> list:
     try:
         return [int(part) for part in str(text).split(",") if part.strip()]
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_window(text: str):
@@ -82,156 +82,54 @@ def _parse_window(text: str):
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"expected an integer or 'auto', got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer or 'auto', got {text!r}") from None
 
-
-_CONVERTERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "bool": _parse_bool,
-    "int_list": _parse_int_list,
-    "window": _parse_window,
-}
 
 _MARKET_DEFAULTS = SyntheticMarketSpec()
 
 _MARKET_OPTS = [
-    Opt("--assets", "int", _MARKET_DEFAULTS.n_assets, "number of assets"),
-    Opt("--samples", "int", _MARKET_DEFAULTS.m_samples, "number of daily observations"),
-    Opt("--nu-min", "float", _MARKET_DEFAULTS.nu_range[0], "smallest idiosyncratic Student-t degrees of freedom"),
-    Opt("--nu-max", "float", _MARKET_DEFAULTS.nu_range[1], "largest idiosyncratic Student-t degrees of freedom"),
-    Opt("--nu-factor", "float", _MARKET_DEFAULTS.nu_factor, "factor Student-t degrees of freedom"),
-    Opt("--loading-min", "float", _MARKET_DEFAULTS.loading_range[0], "smallest factor loading"),
-    Opt("--loading-max", "float", _MARKET_DEFAULTS.loading_range[1], "largest factor loading"),
-    Opt("--vol-min", "float", _MARKET_DEFAULTS.vol_range[0], "smallest per-asset volatility (percent)"),
-    Opt("--vol-max", "float", _MARKET_DEFAULTS.vol_range[1], "largest per-asset volatility (percent)"),
-    Opt("--tremor-prob", "float", _MARKET_DEFAULTS.tremor_prob, "daily probability of a fixed-size factor shock"),
-    Opt("--tremor-scale", "float", _MARKET_DEFAULTS.tremor_scale, "size of factor tremor days"),
-    Opt("--crash-prob", "float", _MARKET_DEFAULTS.crash_prob, "daily crash probability inside the crash regime"),
-    Opt("--crash-scale", "float", _MARKET_DEFAULTS.crash_scale, "factor amplification on crash days"),
-    Opt("--crash-start", "float", _MARKET_DEFAULTS.crash_start, "fraction of the sample where the crash regime starts"),
-    Opt("--start-date", "str", _MARKET_DEFAULTS.start_date, "first row date (ISO)"),
+    Opt("--assets", int, _MARKET_DEFAULTS.n_assets, "number of assets"),
+    Opt("--samples", int, _MARKET_DEFAULTS.m_samples, "number of daily observations"),
+    Opt("--nu-min", float, _MARKET_DEFAULTS.nu_range[0], "smallest idiosyncratic Student-t degrees of freedom"),
+    Opt("--nu-max", float, _MARKET_DEFAULTS.nu_range[1], "largest idiosyncratic Student-t degrees of freedom"),
+    Opt("--nu-factor", float, _MARKET_DEFAULTS.nu_factor, "factor Student-t degrees of freedom"),
+    Opt("--loading-min", float, _MARKET_DEFAULTS.loading_range[0], "smallest factor loading"),
+    Opt("--loading-max", float, _MARKET_DEFAULTS.loading_range[1], "largest factor loading"),
+    Opt("--vol-min", float, _MARKET_DEFAULTS.vol_range[0], "smallest per-asset volatility (percent)"),
+    Opt("--vol-max", float, _MARKET_DEFAULTS.vol_range[1], "largest per-asset volatility (percent)"),
+    Opt("--tremor-prob", float, _MARKET_DEFAULTS.tremor_prob, "daily probability of a fixed-size factor shock"),
+    Opt("--tremor-scale", float, _MARKET_DEFAULTS.tremor_scale, "size of factor tremor days"),
+    Opt("--crash-prob", float, _MARKET_DEFAULTS.crash_prob, "daily crash probability inside the crash regime"),
+    Opt("--crash-scale", float, _MARKET_DEFAULTS.crash_scale, "factor amplification on crash days"),
+    Opt("--crash-start", float, _MARKET_DEFAULTS.crash_start, "fraction of the sample where the crash regime starts"),
+    Opt("--start-date", str, _MARKET_DEFAULTS.start_date, "first row date (ISO)"),
 ]
 
-_PIPELINE_OPTS = [
-    Opt("--d", "int", None, "number of whitened dimensions to keep", required=True),
-    Opt("--k", "int_list", [2], "contrast order(s); repeatable or comma-separated"),
-    Opt("--seed", "int", 0, "random seed for the solver initialization"),
-    Opt("--tol", "float", 1e-8, "solver convergence tolerance"),
-    Opt("--max-iter", "int", 1000, "solver iteration cap"),
-    Opt("--eig-floor", "float", 1e-10, "relative eigenvalue floor for whitening"),
-    Opt("--standardize", "bool", False, "scale columns to unit variance before PCA"),
-    Opt("--entropy-method", "str", "correa", "entropy estimator: vasicek, ebrahimi or correa"),
-    Opt("--entropy-window", "window", None, "spacing window; 'auto' means floor(sqrt(m))"),
+_D_HELP = "number of whitened dimensions to keep"
+_K_HELP = "contrast order(s); repeatable or comma-separated"
+
+# fit's and eval's options after --d and --k, the two whose defaults differ
+_SOLVER_OPTS = [
+    Opt("--seed", int, 0, "random seed for the solver initialization"),
+    Opt("--tol", float, 1e-8, "solver convergence tolerance"),
+    Opt("--max-iter", int, 1000, "solver iteration cap"),
+    Opt("--eig-floor", float, 1e-10, "relative eigenvalue floor for whitening"),
+    Opt("--standardize", _parse_bool, False, "scale columns to unit variance before PCA"),
+    Opt("--entropy-method", str, "correa", "entropy estimator: vasicek, ebrahimi or correa"),
+    Opt("--entropy-window", _parse_window, None, "spacing window; 'auto' means floor(sqrt(m))"),
 ]
 
 _INPUT_OPTS = [
-    Opt("--input", "str", None, "input CSV path", required=True),
-    Opt("--format", "str", "auto", "input layout: auto, long or wide"),
-    Opt("--fill-missing", "bool", True, "fill absent (date,symbol) cells with 0.0 (long format)"),
+    Opt("--input", str, None, "input CSV path", required=True),
+    Opt("--format", str, "auto", "input layout: auto, long or wide"),
+    Opt("--fill-missing", _parse_bool, True, "fill absent (date,symbol) cells with 0.0 (long format)"),
 ]
 
-_COMMANDS = {
-    "ingest": _INPUT_OPTS
-    + [Opt("--out", "str", None, "output wide-format CSV path", required=True)],
-    "synth": _MARKET_OPTS
-    + [
-        Opt("--seed", "int", 0, "market generation seed"),
-        Opt("--out", "str", None, "output wide-format CSV path", required=True),
-    ],
-    "fit": _INPUT_OPTS
-    + _PIPELINE_OPTS
-    + [
-        Opt("--boundary", "str", None, "bucket boundary date (ISO)", required=True),
-        Opt("--out", "str", None, "output directory", required=True),
-    ],
-    "transform": [
-        Opt("--input", "str", None, "wide-format panel CSV", required=True),
-        Opt("--whitening", "str", None, "whitening transform CSV", required=True),
-        Opt("--unmixing", "str", None, "unmixing matrix CSV (optional: whiten only)"),
-        Opt("--out", "str", None, "output wide-format CSV path", required=True),
-    ],
-    "entropy": _INPUT_OPTS
-    + [
-        Opt("--method", "str", "correa", "entropy estimator"),
-        Opt("--window", "window", None, "spacing window; 'auto' means floor(sqrt(m))"),
-        Opt("--out", "str", None, "output CSV path (stdout when omitted)"),
-    ],
-    "tailcov": _INPUT_OPTS
-    + [
-        Opt("--k", "int", 1, "tail covariance order"),
-        Opt("--center", "bool", True, "center columns before computing"),
-        Opt("--out", "str", None, "output CSV path (stdout when omitted)"),
-    ],
-    "scatter": _INPUT_OPTS
-    + [
-        Opt("--bucket-label", "str", "all", "label stored with each record"),
-        Opt("--method", "str", "correa", "entropy estimator"),
-        Opt("--window", "window", None, "spacing window; 'auto' means floor(sqrt(m))"),
-        Opt("--out", "str", None, "output CSV path", required=True),
-    ],
-    "eval": _MARKET_OPTS
-    + [
-        Opt("--d", "int", 30, opt.help)
-        if opt.flag == "--d"
-        else (Opt("--k", "int_list", [2, 10], opt.help) if opt.flag == "--k" else opt)
-        for opt in _PIPELINE_OPTS
-    ]
-    + [
-        Opt("--market-seed", "int", 0, "market generation seed"),
-        Opt("--boundary", "str", None, "bucket boundary date (ISO); default: sample midpoint"),
-        Opt("--out", "str", None, "output directory", required=True),
-    ],
-}
-
-_HELP = {
-    "ingest": "read a long- or wide-format CSV and write a clean wide panel",
-    "synth": "generate a synthetic fat-tailed market panel",
-    "fit": "split at a boundary date, whiten, fit unmixings and write tail reports",
-    "transform": "apply a saved whitening (and optionally an unmixing) to a panel",
-    "entropy": "estimate differential entropy per column",
-    "tailcov": "compute an order-k tail covariance matrix",
-    "scatter": "write per-symbol (root moment, entropy) records",
-    "eval": "synthesize the default market and run the full experiment",
-}
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="tailica", description=__doc__.split("\n\n")[0])
-    parser.add_argument("--version", action="version", version=f"tailica {__version__}")
-    subparsers = parser.add_subparsers(dest="command", metavar="command")
-    for name, opts in _COMMANDS.items():
-        sub = subparsers.add_parser(name, help=_HELP[name], description=_HELP[name])
-        sub.add_argument("--config", help="key=value file supplying defaults for any flag")
-        for opt in opts:
-            default_note = "" if opt.default is None else f" (default: {opt.default})"
-            if opt.kind == "bool":
-                sub.add_argument(
-                    opt.flag,
-                    dest=opt.dest,
-                    action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help=opt.help + default_note,
-                )
-            elif opt.kind == "int_list":
-                sub.add_argument(
-                    opt.flag,
-                    dest=opt.dest,
-                    action="append",
-                    type=_parse_int_list,
-                    default=None,
-                    help=opt.help + f" (default: {','.join(map(str, opt.default))})",
-                )
-            else:
-                sub.add_argument(
-                    opt.flag,
-                    dest=opt.dest,
-                    type=str,
-                    default=None,
-                    help=opt.help + default_note,
-                )
-    return parser
+_METHOD = Opt("--method", str, "correa", "entropy estimator")
+_WINDOW = Opt("--window", _parse_window, None, "spacing window; 'auto' means floor(sqrt(m))")
+_OUT_CSV = Opt("--out", str, None, "output wide-format CSV path", required=True)
+_OUT_STDOUT = Opt("--out", str, None, "output CSV path (stdout when omitted)")
+_OUT_DIR = Opt("--out", str, None, "output directory", required=True)
 
 
 def _load_config(path: str) -> dict:
@@ -252,6 +150,7 @@ def _load_config(path: str) -> dict:
 
 
 def _effective_params(args, opts) -> dict:
+    """Each option's value: the flag if given, else the config's, else the default."""
     config = _load_config(args.config) if args.config else {}
     known = {opt.dest for opt in opts}
     unknown = set(config) - known
@@ -259,19 +158,13 @@ def _effective_params(args, opts) -> dict:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     params = {}
     for opt in opts:
-        cli_value = getattr(args, opt.dest)
-        if cli_value is not None:
-            value = cli_value
-            if opt.kind == "int_list":
-                # repeated flags each parse a comma list; flatten them
-                value = [item for chunk in cli_value for item in chunk]
-            elif opt.kind != "bool":
-                try:
-                    value = _CONVERTERS[opt.kind](cli_value)
-                except (ValueError, TypeError):
-                    raise UsageError(f"bad value for {opt.flag}: {cli_value!r}") from None
+        if hasattr(args, opt.dest):  # flags left out never reach the namespace
+            value = getattr(args, opt.dest)
         elif opt.dest in config:
-            value = _CONVERTERS[opt.kind](config[opt.dest])
+            try:
+                value = opt.type(config[opt.dest])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"bad config value for {opt.flag}: {exc}") from None
         else:
             value = opt.default
             if value is None and opt.required:
@@ -285,16 +178,8 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_manifest(path: str, command: str, params: dict) -> None:
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "parameters": {key: value for key, value in params.items() if key != "out"},
-    }
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _load_panel(path: str, layout: str = "auto", fill_missing: bool = True):
+def _load_panel(params: dict):
+    path, layout, fill_missing = params["input"], params["format"], params["fill_missing"]
     if layout not in ("auto", "long", "wide"):
         raise UsageError(f"--format must be auto, long or wide, got {layout!r}")
     if layout == "long":
@@ -327,24 +212,21 @@ def _market_spec(params: dict, seed_key: str) -> SyntheticMarketSpec:
     )
 
 
-def _run_pipeline(panel, params: dict, out_dir: str) -> None:
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _run_pipeline(panel, params: dict) -> None:
+    """Fit every contrast order and write its artifacts into the --out directory."""
     entropy_config = EntropyEstimatorConfig(params["entropy_method"], params["entropy_window"])
+    solver = {key: params[key] for key in ("seed", "tol", "max_iter", "eig_floor", "standardize")}
     artifacts = run_experiment_artifacts(
-        panel,
-        params["boundary"],
-        params["d"],
-        params["k"],
-        entropy_config,
-        seed=params["seed"],
-        tol=params["tol"],
-        max_iter=params["max_iter"],
-        eig_floor=params["eig_floor"],
-        standardize=params["standardize"],
+        panel, params["boundary"], params["d"], params["k"], entropy_config, **solver
     )
-    _write_text(os.path.join(out_dir, "whitening.csv"), whitening_to_csv(artifacts.whitening))
+    files = {"whitening.csv": whitening_to_csv(artifacts.whitening)}
     diagnostics = {}
     for k, unmixing in artifacts.unmixings.items():
-        _write_text(os.path.join(out_dir, f"W_k{k}.csv"), unmixing_to_csv(unmixing))
+        files[f"W_k{k}.csv"] = unmixing_to_csv(unmixing)
         diagnostics[str(k)] = {
             "iterations": unmixing.iterations,
             "converged": unmixing.converged,
@@ -352,45 +234,30 @@ def _run_pipeline(panel, params: dict, out_dir: str) -> None:
             "kkt_orthonormality_max": artifacts.kkt[k].orthonormality_max,
             "identity_off_diagonal_max": artifacts.identity_kkt[k].off_diagonal_max,
         }
-    for report in artifacts.reports:
-        stem = f"k{report.k}_{report.bucket}"
-        _write_text(
-            os.path.join(out_dir, f"report_{stem}.json"),
-            json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n",
-        )
-        _write_text(
-            os.path.join(out_dir, f"hist_{stem}.csv"),
-            histogram_to_csv(report.bin_edges, report.counts),
-        )
-        _write_text(
-            os.path.join(out_dir, f"hist_portfolio_{stem}.csv"),
-            histogram_to_csv(report.portfolio_bin_edges, report.portfolio_counts),
-        )
-    _write_text(os.path.join(out_dir, "scatter_in.csv"), scatter_to_csv(artifacts.scatter_in))
-    _write_text(os.path.join(out_dir, "scatter_out.csv"), scatter_to_csv(artifacts.scatter_out))
-    _write_text(
-        os.path.join(out_dir, "diagnostics.json"),
-        json.dumps(diagnostics, indent=2, sort_keys=True) + "\n",
-    )
+    for r in artifacts.reports:
+        stem = f"k{r.k}_{r.bucket}"
+        files[f"report_{stem}.json"] = _json(report_to_dict(r))
+        files[f"hist_{stem}.csv"] = histogram_to_csv(r.bin_edges, r.counts)
+        files[f"hist_portfolio_{stem}.csv"] = histogram_to_csv(r.portfolio_bin_edges, r.portfolio_counts)
+    files["scatter_in.csv"] = scatter_to_csv(artifacts.scatter_in)
+    files["scatter_out.csv"] = scatter_to_csv(artifacts.scatter_out)
+    files["diagnostics.json"] = _json(diagnostics)
+    for filename, text in files.items():
+        _write_text(os.path.join(params["out"], filename), text)
 
 
 def _cmd_ingest(params: dict) -> None:
-    panel = _load_panel(params["input"], params["format"], params["fill_missing"])
-    write_wide_csv(panel, params["out"])
-    _write_manifest(params["out"] + ".manifest.json", "ingest", params)
+    write_wide_csv(_load_panel(params), params["out"])
 
 
 def _cmd_synth(params: dict) -> None:
-    panel = generate_market(_market_spec(params, "seed"))
-    write_wide_csv(panel, params["out"])
-    _write_manifest(params["out"] + ".manifest.json", "synth", params)
+    write_wide_csv(generate_market(_market_spec(params, "seed")), params["out"])
 
 
 def _cmd_fit(params: dict) -> None:
-    panel = _load_panel(params["input"], params["format"], params["fill_missing"])
+    panel = _load_panel(params)
     os.makedirs(params["out"], exist_ok=True)
-    _run_pipeline(panel, params, params["out"])
-    _write_manifest(os.path.join(params["out"], "manifest.json"), "fit", params)
+    _run_pipeline(panel, params)
 
 
 def _cmd_transform(params: dict) -> None:
@@ -403,11 +270,10 @@ def _cmd_transform(params: dict) -> None:
             unmixing = unmixing_from_csv(handle.read())
         result = unmix_transform(unmixing, result)
     write_wide_csv(result, params["out"])
-    _write_manifest(params["out"] + ".manifest.json", "transform", params)
 
 
-def _cmd_entropy(params: dict) -> None:
-    panel = _load_panel(params["input"], params["format"], params["fill_missing"])
+def _cmd_entropy(params: dict) -> str:
+    panel = _load_panel(params)
     config = EntropyEstimatorConfig(params["method"], params["window"])
     lines = ["symbol,entropy,method,window_n,m"]
     for j, cid in enumerate(panel.column_ids):
@@ -415,56 +281,154 @@ def _cmd_entropy(params: dict) -> None:
         lines.append(
             f"{cid},{estimate.value!r},{estimate.method},{estimate.window_n},{estimate.m}"
         )
-    text = "\n".join(lines) + "\n"
-    if params["out"]:
-        _write_text(params["out"], text)
-        _write_manifest(params["out"] + ".manifest.json", "entropy", params)
-    else:
-        sys.stdout.write(text)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_tailcov(params: dict) -> None:
-    panel = _load_panel(params["input"], params["format"], params["fill_missing"])
+def _cmd_tailcov(params: dict) -> str:
+    panel = _load_panel(params)
     if params["center"]:
         panel = center(panel)
     matrix = tail_covariance(panel, params["k"], check_centered=params["center"])
-    text = tail_covariance_to_csv(matrix)
-    if params["out"]:
-        _write_text(params["out"], text)
-        _write_manifest(params["out"] + ".manifest.json", "tailcov", params)
-    else:
-        sys.stdout.write(text)
+    return tail_covariance_to_csv(matrix)
 
 
-def _cmd_scatter(params: dict) -> None:
-    panel = _load_panel(params["input"], params["format"], params["fill_missing"])
+def _cmd_scatter(params: dict) -> str:
     config = EntropyEstimatorConfig(params["method"], params["window"])
-    records = scatter_moment_entropy(panel, params["bucket_label"], config)
-    _write_text(params["out"], scatter_to_csv(records))
-    _write_manifest(params["out"] + ".manifest.json", "scatter", params)
+    return scatter_to_csv(scatter_moment_entropy(_load_panel(params), params["bucket_label"], config))
 
 
 def _cmd_eval(params: dict) -> None:
-    spec = _market_spec(params, "market_seed")
-    panel = generate_market(spec)
+    panel = generate_market(_market_spec(params, "market_seed"))
     if params["boundary"] is None:
-        params = dict(params, boundary=panel.row_ids[panel.m // 2])
+        params["boundary"] = panel.row_ids[panel.m // 2]  # recorded for reruns
     os.makedirs(params["out"], exist_ok=True)
     write_wide_csv(panel, os.path.join(params["out"], "market.csv"))
-    _run_pipeline(panel, params, params["out"])
-    _write_manifest(os.path.join(params["out"], "manifest.json"), "eval", params)
+    _run_pipeline(panel, params)
 
 
-_RUNNERS = {
-    "ingest": _cmd_ingest,
-    "synth": _cmd_synth,
-    "fit": _cmd_fit,
-    "transform": _cmd_transform,
-    "entropy": _cmd_entropy,
-    "tailcov": _cmd_tailcov,
-    "scatter": _cmd_scatter,
-    "eval": _cmd_eval,
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, its runner and its options in help order.
+
+    The runner returns its text result for --out or stdout, or None when
+    it wrote its outputs itself.
+    """
+
+    help: str
+    run: object
+    opts: list
+
+
+_COMMANDS = {
+    "ingest": Command(
+        "read a long- or wide-format CSV and write a clean wide panel",
+        _cmd_ingest,
+        [*_INPUT_OPTS, _OUT_CSV],
+    ),
+    "synth": Command(
+        "generate a synthetic fat-tailed market panel",
+        _cmd_synth,
+        [*_MARKET_OPTS, Opt("--seed", int, 0, "market generation seed"), _OUT_CSV],
+    ),
+    "fit": Command(
+        "split at a boundary date, whiten, fit unmixings and write tail reports",
+        _cmd_fit,
+        [
+            *_INPUT_OPTS,
+            Opt("--d", int, None, _D_HELP, required=True),
+            Opt("--k", _parse_int_list, [2], _K_HELP),
+            *_SOLVER_OPTS,
+            Opt("--boundary", str, None, "bucket boundary date (ISO)", required=True),
+            _OUT_DIR,
+        ],
+    ),
+    "transform": Command(
+        "apply a saved whitening (and optionally an unmixing) to a panel",
+        _cmd_transform,
+        [
+            Opt("--input", str, None, "wide-format panel CSV", required=True),
+            Opt("--whitening", str, None, "whitening transform CSV", required=True),
+            Opt("--unmixing", str, None, "unmixing matrix CSV (optional: whiten only)"),
+            _OUT_CSV,
+        ],
+    ),
+    "entropy": Command(
+        "estimate differential entropy per column",
+        _cmd_entropy,
+        [*_INPUT_OPTS, _METHOD, _WINDOW, _OUT_STDOUT],
+    ),
+    "tailcov": Command(
+        "compute an order-k tail covariance matrix",
+        _cmd_tailcov,
+        [
+            *_INPUT_OPTS,
+            Opt("--k", int, 1, "tail covariance order"),
+            Opt("--center", _parse_bool, True, "center columns before computing"),
+            _OUT_STDOUT,
+        ],
+    ),
+    "scatter": Command(
+        "write per-symbol (root moment, entropy) records",
+        _cmd_scatter,
+        [
+            *_INPUT_OPTS,
+            Opt("--bucket-label", str, "all", "label stored with each record"),
+            _METHOD,
+            _WINDOW,
+            Opt("--out", str, None, "output CSV path", required=True),
+        ],
+    ),
+    "eval": Command(
+        "synthesize the default market and run the full experiment",
+        _cmd_eval,
+        [
+            *_MARKET_OPTS,
+            Opt("--d", int, 30, _D_HELP),
+            Opt("--k", _parse_int_list, [2, 10], _K_HELP),
+            *_SOLVER_OPTS,
+            Opt("--market-seed", int, 0, "market generation seed"),
+            Opt("--boundary", str, None, "bucket boundary date (ISO); default: sample midpoint"),
+            _OUT_DIR,
+        ],
+    ),
 }
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="tailica", description=__doc__.split("\n\n")[0])
+    parser.add_argument("--version", action="version", version=f"tailica {__version__}")
+    subparsers = parser.add_subparsers(dest="command", metavar="command")
+    for name, command in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help, description=command.help)
+        sub.add_argument("--config", help="key=value file supplying defaults for any flag")
+        for opt in command.opts:
+            if opt.type is _parse_bool:
+                how = {"action": argparse.BooleanOptionalAction}
+            else:  # with "extend", repeated --k flags flatten into one list
+                how = {"type": opt.type, "action": "extend" if opt.type is _parse_int_list else "store"}
+            shown = ",".join(map(str, opt.default)) if opt.type is _parse_int_list else opt.default
+            note = "" if shown is None else f" (default: {shown})"
+            sub.add_argument(
+                opt.flag, dest=opt.dest, default=argparse.SUPPRESS, help=opt.help + note, **how
+            )
+    return parser
+
+
+def _write_outputs(name: str, command: Command, params: dict, text) -> None:
+    """Send a text result to --out or stdout, and write the manifest of a saved run.
+
+    The manifest goes inside an output directory as ``manifest.json`` and
+    beside an output file as ``<out>.manifest.json``; stdout gets none.
+    """
+    out = params["out"]
+    if not out:
+        sys.stdout.write(text)
+        return
+    if text is not None:
+        _write_text(out, text)
+    path = os.path.join(out, "manifest.json") if _OUT_DIR in command.opts else out + ".manifest.json"
+    parameters = {key: value for key, value in params.items() if key != "out"}
+    _write_text(path, _json({"command": name, "package_version": __version__, "parameters": parameters}))
 
 
 def main(argv=None) -> int:
@@ -474,15 +438,13 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_help(sys.stderr)
             return 1
-        params = _effective_params(args, _COMMANDS[args.command])
-        _RUNNERS[args.command](params)
+        command = _COMMANDS[args.command]
+        params = _effective_params(args, command.opts)
+        _write_outputs(args.command, command, params, command.run(params))
         return 0
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"tailica: usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"tailica: usage error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:

@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 QUANTILE_LEVELS = (0.001, 0.01, 0.99, 0.999)
+CORE_HALF_WIDTH = 2.0  # tail_histogram's bins, which no caller varies
+CORE_BINS = 41
+TAIL_BINS = 30
 
 
 @dataclass(frozen=True)
@@ -188,23 +191,23 @@ def equal_weight_portfolio(components: SamplePanel) -> np.ndarray:
     return components.data.mean(axis=1)
 
 
-def tail_histogram(values, core_half_width: float = 2.0, core_bins: int = 41, tail_bins: int = 30):
+def tail_histogram(values):
     """Histogram on a linear core plus symmetric log-spaced tails.
 
-    Edges: ``core_bins`` linear bins on [-w, w] and ``tail_bins``
-    log-spaced bins per side out to just past the largest absolute value,
-    101 bins with the defaults.  Returns (edges, counts); counts always
-    sum to ``len(values)``.
+    Edges: ``CORE_BINS`` linear bins on [-w, w] with w = ``CORE_HALF_WIDTH``
+    and ``TAIL_BINS`` log-spaced bins per side out to just past the largest
+    absolute value, 101 bins in all.  Returns (edges, counts); counts
+    always sum to ``len(values)``.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size == 0:
         raise DataError("cannot histogram an empty sample")
     if not np.all(np.isfinite(v)):
         raise DataError("histogram input has non-finite entries")
-    w = float(core_half_width)
+    w = CORE_HALF_WIDTH
     limit = max(float(np.abs(v).max()) * (1.0 + 1e-9), 1.25 * w)
-    tail = np.geomspace(w, limit, int(tail_bins) + 1)
-    core = np.linspace(-w, w, int(core_bins) + 1)
+    tail = np.geomspace(w, limit, TAIL_BINS + 1)
+    core = np.linspace(-w, w, CORE_BINS + 1)
     edges = np.concatenate([-tail[::-1], core[1:-1], tail])
     counts, _ = np.histogram(v, edges)
     return edges, counts
@@ -320,6 +323,7 @@ def run_experiment_artifacts(
         raise ValueError("k_list must not be empty")
     if len(set(k_list)) != len(k_list):
         raise ValueError(f"duplicate contrast orders in k_list: {k_list}")
+    contrasts = [ContrastSpec(k) for k in k_list]
     entropy_config = entropy_config or EntropyEstimatorConfig()
     split = split_buckets(panel, boundary)
     whitening = fit_whitening(split.in_sample, d, eig_floor=eig_floor, standardize=standardize)
@@ -329,8 +333,9 @@ def run_experiment_artifacts(
         w=np.eye(whitening.d), k=1, seed=int(seed), iterations=0, converged=True
     )
 
-    def fit_one(k: int):
-        unmixing = fit_ica(z_in, ContrastSpec(k), seed=seed, tol=tol, max_iter=max_iter)
+    def fit_one(contrast: ContrastSpec):
+        k = contrast.k
+        unmixing = fit_ica(z_in, contrast, seed=seed, tol=tol, max_iter=max_iter)
         u_in = transform(unmixing, z_in)
         u_out = transform(unmixing, z_out)
         return (
@@ -342,7 +347,7 @@ def run_experiment_artifacts(
         )
 
     with ThreadPoolExecutor(max_workers=_worker_count(len(k_list))) as pool:
-        results = list(pool.map(fit_one, k_list))
+        results = list(pool.map(fit_one, contrasts))
     unmixings = {}
     reports = []
     kkt = {}

@@ -54,7 +54,9 @@ class TailCovarianceMatrix:
 
 def _check_centered(data: np.ndarray, column_ids) -> None:
     means = np.abs(data.mean(axis=0))
-    scales = np.sqrt((data**2).mean(axis=0))
+    # RMS of the power-of-two ratios, scaled back: exact where data**2 is in range
+    ratios, exp2 = _pow2_scale(data)
+    scales = np.ldexp(np.sqrt((ratios**2).mean(axis=0)), exp2)
     bad = means > 1e-8 * np.maximum(scales, 1e-300)
     if np.any(bad):
         j = int(np.argmax(bad))

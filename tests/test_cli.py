@@ -371,3 +371,124 @@ def test_fit_rerun_is_byte_identical(tmp_path, market_csv):
     assert main([*args, "--out", str(b)]) == 0
     for path in sorted(a.iterdir()):
         assert path.read_bytes() == (b / path.name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "config_text, flag",
+    [("d=abc\n", "--d"), ("d=4\nstandardize=maybe\n", "--standardize"), ("d=4\nk=2,x\n", "--k")],
+)
+def test_bad_config_value_names_its_flag(tmp_path, market_csv, capsys, config_text, flag):
+    config = tmp_path / "run.conf"
+    config.write_text(config_text)
+    rc = main(
+        [
+            "fit",
+            "--config", str(config),
+            "--input", str(market_csv),
+            "--boundary", "2014-07-20",
+            "--out", str(tmp_path / "r"),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert flag in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "window_text, window", [("auto", None), ("AUTO", None), ("7", 7)]
+)
+def test_config_converts_bool_and_window_values(tmp_path, market_csv, window_text, window):
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"d=3\nk=2\nmax-iter=100\nboundary=2014-07-20\n"
+        f"standardize=yes\nentropy-window={window_text}\n"
+    )
+    out = tmp_path / "run"
+    rc = main(["fit", "--config", str(config), "--input", str(market_csv), "--out", str(out)])
+    assert rc == 0
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert params["standardize"] is True
+    assert params["entropy_window"] == window
+    assert params["k"] == [2]
+    # an explicit flag still wins over the config's boolean
+    out2 = tmp_path / "run2"
+    rc = main(
+        [
+            "fit",
+            "--config", str(config),
+            "--input", str(market_csv),
+            "--no-standardize",
+            "--out", str(out2),
+        ]
+    )
+    assert rc == 0
+    params = json.loads((out2 / "manifest.json").read_text())["parameters"]
+    assert params["standardize"] is False
+
+
+def test_flag_auto_window_overrides_config(tmp_path, market_csv):
+    # 'auto' converts to None, which must still count as a given flag
+    config = tmp_path / "run.conf"
+    config.write_text("d=3\nk=2\nmax-iter=100\nboundary=2014-07-20\nentropy-window=7\n")
+    out = tmp_path / "run"
+    argv = ["fit", "--config", str(config), "--input", str(market_csv), "--out", str(out)]
+    assert main([*argv, "--entropy-window", "auto"]) == 0
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert params["entropy_window"] is None
+
+
+def test_bad_flag_value_names_its_flag(capsys):
+    assert main(["synth", "--seed", "abc", "--out", "x.csv"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert main(["entropy", "--input", "x.csv", "--window", "wide"]) == 1
+    assert "--window" in capsys.readouterr().err
+
+
+def test_repeated_k_flags_flatten(tmp_path, market_csv):
+    out = tmp_path / "run"
+    rc = main(
+        [
+            "fit",
+            "--input", str(market_csv),
+            "--boundary", "2014-07-20",
+            "--d", "3",
+            "--k", "2",
+            "--k", "3,4",
+            "--max-iter", "100",
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    assert json.loads((out / "manifest.json").read_text())["parameters"]["k"] == [2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["ingest", "synth", "fit", "transform", "entropy", "tailcov", "scatter", "eval"],
+)
+def test_help_lists_every_flag_and_default(command, capsys):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    opts = cli._COMMANDS[command].opts
+    assert opts, command
+    for opt in opts:
+        assert f"{opt.flag} " in text or f"{opt.flag}," in text
+        if opt.default is None:
+            continue
+        shown = ",".join(map(str, opt.default)) if isinstance(opt.default, list) else opt.default
+        assert f"{opt.help} (default: {shown})" in text
+
+
+def test_help_pins_fit_and_eval_defaults(capsys):
+    assert main(["eval", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--d D number of whitened dimensions to keep (default: 30)" in text
+    assert "--k K contrast order(s); repeatable or comma-separated (default: 2,10)" in text
+    assert "--tol TOL solver convergence tolerance (default: 1e-08)" in text
+    assert "--standardize, --no-standardize scale columns to unit variance" in text
+    assert main(["fit", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default: 2)" in text
+    assert "--d D number of whitened dimensions to keep --k K" in text

@@ -397,6 +397,16 @@ def test_run_experiment_validates_k_list():
         run_experiment(panel, boundary, d=3, k_list=[2, 2])
 
 
+def test_bad_contrast_order_is_rejected_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("split_buckets ran before the contrast orders were checked")
+
+    panel = small_t_market(seed=9, n=6, m=200)
+    monkeypatch.setattr("tailica.evaluate.split_buckets", no_work)
+    with pytest.raises(ValueError, match="contrast order"):
+        run_experiment_artifacts(panel, panel.row_ids[100], d=3, k_list=[2, 0])
+
+
 def test_report_to_dict_is_json_ready():
     import json
 

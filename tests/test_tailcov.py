@@ -198,6 +198,17 @@ def test_overflowing_tail_covariance_is_a_numerical_error():
             tail_covariance(p, 2, check_centered=False)
 
 
+def test_centering_check_does_not_overflow():
+    # Squaring data near 1e200 overflows; the check must still see the mean.
+    rng = np.random.default_rng(31)
+    p = panel_from((rng.standard_normal((50, 3)) + 1.0) * 1e200)
+    with np.errstate(over="raise"):
+        with pytest.raises(DataError, match="center"):
+            tail_covariance(p, 2)
+        with pytest.raises(NumericalError, match="k=2"):
+            tail_covariance(center(p), 2)
+
+
 def test_matrix_validation():
     with pytest.raises(DataError):
         TailCovarianceMatrix(2, np.ones((2, 3)), ("a", "b"))

@@ -35,7 +35,6 @@ from .evaluate import (
     build_tail_report,
     equal_weight_portfolio,
     generate_market,
-    run_experiment,
     run_experiment_artifacts,
     scatter_moment_entropy,
     tail_histogram,
@@ -63,8 +62,6 @@ from .panel import (
 )
 from .tailcov import (
     TailCovarianceMatrix,
-    max_overlap_covariance,
-    off_diagonal_stats,
     tail_covariance,
     tail_covariance_to_csv,
 )
@@ -105,8 +102,6 @@ __all__ = [
     # tail covariance
     "TailCovarianceMatrix",
     "tail_covariance",
-    "max_overlap_covariance",
-    "off_diagonal_stats",
     "tail_covariance_to_csv",
     # entropy
     "EntropyEstimatorConfig",
@@ -145,6 +140,5 @@ __all__ = [
     "tail_histogram",
     "build_tail_report",
     "scatter_moment_entropy",
-    "run_experiment",
     "run_experiment_artifacts",
 ]

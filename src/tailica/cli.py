@@ -31,7 +31,7 @@ from .evaluate import (
 )
 from .ica import transform as unmix_transform
 from .ica import unmixing_from_csv, unmixing_to_csv
-from .panel import center, ingest_csv, read_wide_csv, write_wide_csv
+from .panel import SamplePanel, center, ingest_csv, read_wide_csv, write_wide_csv
 from .tailcov import tail_covariance, tail_covariance_to_csv
 from .whiten import apply_whitening, whitening_from_csv, whitening_to_csv
 
@@ -173,9 +173,13 @@ def _effective_params(args, opts) -> dict:
     return params
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_file(path: str, content) -> None:
+    """Write text as is, or stream a panel as wide CSV."""
+    if isinstance(content, SamplePanel):
+        write_wide_csv(content, path)
+        return
     with open(path, "w", newline="") as handle:
-        handle.write(text)
+        handle.write(content)
 
 
 def _load_panel(params: dict):
@@ -216,8 +220,8 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _run_pipeline(panel, params: dict) -> None:
-    """Fit every contrast order and write its artifacts into the --out directory."""
+def _run_pipeline(panel, params: dict) -> dict:
+    """Fit every contrast order and return its artifacts by file name."""
     entropy_config = EntropyEstimatorConfig(params["entropy_method"], params["entropy_window"])
     solver = {key: params[key] for key in ("seed", "tol", "max_iter", "eig_floor", "standardize")}
     artifacts = run_experiment_artifacts(
@@ -242,25 +246,22 @@ def _run_pipeline(panel, params: dict) -> None:
     files["scatter_in.csv"] = scatter_to_csv(artifacts.scatter_in)
     files["scatter_out.csv"] = scatter_to_csv(artifacts.scatter_out)
     files["diagnostics.json"] = _json(diagnostics)
-    for filename, text in files.items():
-        _write_text(os.path.join(params["out"], filename), text)
+    return files
 
 
-def _cmd_ingest(params: dict) -> None:
-    write_wide_csv(_load_panel(params), params["out"])
+def _cmd_ingest(params: dict) -> SamplePanel:
+    return _load_panel(params)
 
 
-def _cmd_synth(params: dict) -> None:
-    write_wide_csv(generate_market(_market_spec(params, "seed")), params["out"])
+def _cmd_synth(params: dict) -> SamplePanel:
+    return generate_market(_market_spec(params, "seed"))
 
 
-def _cmd_fit(params: dict) -> None:
-    panel = _load_panel(params)
-    os.makedirs(params["out"], exist_ok=True)
-    _run_pipeline(panel, params)
+def _cmd_fit(params: dict) -> dict:
+    return _run_pipeline(_load_panel(params), params)
 
 
-def _cmd_transform(params: dict) -> None:
+def _cmd_transform(params: dict) -> SamplePanel:
     panel = read_wide_csv(params["input"])
     with open(params["whitening"]) as handle:
         transform_w = whitening_from_csv(handle.read())
@@ -269,7 +270,7 @@ def _cmd_transform(params: dict) -> None:
         with open(params["unmixing"]) as handle:
             unmixing = unmixing_from_csv(handle.read())
         result = unmix_transform(unmixing, result)
-    write_wide_csv(result, params["out"])
+    return result
 
 
 def _cmd_entropy(params: dict) -> str:
@@ -297,21 +298,20 @@ def _cmd_scatter(params: dict) -> str:
     return scatter_to_csv(scatter_moment_entropy(_load_panel(params), params["bucket_label"], config))
 
 
-def _cmd_eval(params: dict) -> None:
+def _cmd_eval(params: dict) -> dict:
     panel = generate_market(_market_spec(params, "market_seed"))
     if params["boundary"] is None:
         params["boundary"] = panel.row_ids[panel.m // 2]  # recorded for reruns
-    os.makedirs(params["out"], exist_ok=True)
-    write_wide_csv(panel, os.path.join(params["out"], "market.csv"))
-    _run_pipeline(panel, params)
+    return {"market.csv": panel, **_run_pipeline(panel, params)}
 
 
 @dataclass(frozen=True)
 class Command:
     """One subcommand: its help line, its runner and its options in help order.
 
-    The runner returns its text result for --out or stdout, or None when
-    it wrote its outputs itself.
+    The runner computes and returns its result without writing anything:
+    text for --out or stdout, a panel for the --out CSV, or a dict from
+    file name to text or panel for the --out directory.
     """
 
     help: str
@@ -414,21 +414,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_outputs(name: str, command: Command, params: dict, text) -> None:
-    """Send a text result to --out or stdout, and write the manifest of a saved run.
+def _write_outputs(name: str, params: dict, result) -> None:
+    """Write a runner's result to --out or stdout, then the manifest of a saved run.
 
-    The manifest goes inside an output directory as ``manifest.json`` and
-    beside an output file as ``<out>.manifest.json``; stdout gets none.
+    The only code that writes under --out, and it runs after the runner
+    returns, so a failed run writes nothing.  The manifest goes inside an
+    output directory as ``manifest.json`` and beside an output file as
+    ``<out>.manifest.json``; stdout gets none.
     """
     out = params["out"]
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.write(result)
         return
-    if text is not None:
-        _write_text(out, text)
-    path = os.path.join(out, "manifest.json") if _OUT_DIR in command.opts else out + ".manifest.json"
+    if isinstance(result, dict):
+        os.makedirs(out, exist_ok=True)
+        for filename, content in result.items():
+            _write_file(os.path.join(out, filename), content)
+        path = os.path.join(out, "manifest.json")
+    else:
+        _write_file(out, result)
+        path = out + ".manifest.json"
     parameters = {key: value for key, value in params.items() if key != "out"}
-    _write_text(path, _json({"command": name, "package_version": __version__, "parameters": parameters}))
+    _write_file(path, _json({"command": name, "package_version": __version__, "parameters": parameters}))
 
 
 def main(argv=None) -> int:
@@ -440,7 +447,7 @@ def main(argv=None) -> int:
             return 1
         command = _COMMANDS[args.command]
         params = _effective_params(args, command.opts)
-        _write_outputs(args.command, command, params, command.run(params))
+        _write_outputs(args.command, params, command.run(params))
         return 0
     except SystemExit as exc:  # argparse --help / --version
         return int(exc.code or 0)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .entropy import EntropyEstimatorConfig, estimate_entropy
 from .errors import DataError, DroppedDataWarning
-from .ica import ContrastSpec, KktResidual, UnmixingMatrix, fit_ica, kkt_residual, transform
+from .ica import ContrastSpec, UnmixingMatrix, fit_ica, kkt_residual, transform
 from .moments import moment, root_moment
 from .panel import BucketSplit, SamplePanel, _check_date, split_buckets
 from .whiten import WhiteningTransform, apply_whitening, fit_whitening
@@ -37,7 +37,6 @@ __all__ = [
     "tail_histogram",
     "build_tail_report",
     "scatter_moment_entropy",
-    "run_experiment",
     "run_experiment_artifacts",
     "report_to_dict",
     "histogram_to_csv",
@@ -312,7 +311,7 @@ def run_experiment_artifacts(
     eig_floor: float = 1e-10,
     standardize: bool = False,
 ) -> ExperimentArtifacts:
-    """Full calibration run; see :func:`run_experiment` for the report-only view.
+    """Calibrate on the in-sample bucket; report and diagnose both buckets.
 
     Contrast orders are fitted independently, one thread each up to the
     core count, and merged in ``k_list`` order, so the artifacts are
@@ -367,26 +366,6 @@ def run_experiment_artifacts(
         scatter_in=scatter_moment_entropy(split.in_sample, "in", entropy_config),
         scatter_out=scatter_moment_entropy(split.out_sample, "out", entropy_config),
     )
-
-
-def run_experiment(
-    panel: SamplePanel,
-    boundary: str,
-    d: int,
-    k_list,
-    entropy_config: EntropyEstimatorConfig = None,
-    seed: int = 0,
-    **kwargs,
-) -> list:
-    """Calibrate on the in-sample bucket and report tails of both buckets.
-
-    Returns one in-sample and one out-of-sample :class:`TailReport` per
-    contrast order in ``k_list``, in that order.
-    """
-    artifacts = run_experiment_artifacts(
-        panel, boundary, d, k_list, entropy_config, seed, **kwargs
-    )
-    return artifacts.reports
 
 
 def report_to_dict(report: TailReport) -> dict:

@@ -155,20 +155,9 @@ class SamplePanel:
     def n(self) -> int:
         return self.data.shape[1]
 
-    def column(self, column_id: str) -> np.ndarray:
-        try:
-            j = self.column_ids.index(column_id)
-        except ValueError:
-            raise DataError(f"no column {column_id!r} in panel") from None
-        return self.data[:, j]
-
-    def with_data(self, data, column_ids=None) -> "SamplePanel":
-        """New panel with the same dates and replaced values/columns."""
-        return SamplePanel(
-            data,
-            self.column_ids if column_ids is None else tuple(column_ids),
-            self.row_ids,
-        )
+    def with_data(self, data) -> "SamplePanel":
+        """New panel with the same columns and dates and replaced values."""
+        return SamplePanel(data, self.column_ids, self.row_ids)
 
 
 @dataclass(frozen=True)

@@ -4,27 +4,23 @@ At k=1 this is the ordinary covariance matrix (1/m convention).  For
 k > 1 the matrix is generally asymmetric: entry (i, j) weights column i
 by the (2k-1)-th power of column j, so column j's tail events dominate.
 As k grows, entry (i, j) is driven entirely by column j's single largest
-absolute observation; :func:`max_overlap_covariance` computes that limit
-directly.
+absolute observation.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError, TieWarning
+from .errors import DataError, NumericalError
 from .moments import _pow2_scale
 from .panel import SamplePanel
 
 __all__ = [
     "TailCovarianceMatrix",
     "tail_covariance",
-    "max_overlap_covariance",
     "tail_covariance_to_csv",
-    "off_diagonal_stats",
 ]
 
 
@@ -93,52 +89,6 @@ def tail_covariance(
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"tail covariance of order k={k} exceeds the float64 range")
     return TailCovarianceMatrix(k, values, components.column_ids)
-
-
-def max_overlap_covariance(components: SamplePanel, check_centered: bool = True) -> np.ndarray:
-    """Large-k limit of the normalized tail covariance.
-
-    Entry (i, j) = s_i(t*_j) * s_j(t*_j) where t*_j is the time of column
-    j's largest absolute value: the co-movement of column i at column j's
-    single most extreme observation.  Columns with a tied max-abs index
-    are reported with a :class:`TieWarning`; the earliest index is used.
-    """
-    data = components.data
-    if check_centered:
-        _check_centered(data, components.column_ids)
-    abs_data = np.abs(data)
-    col_inf = abs_data.max(axis=0)
-    if np.any(col_inf == 0.0):
-        j = int(np.argmax(col_inf == 0.0))
-        raise DataError(f"column {components.column_ids[j]!r} is identically zero")
-    t_star = abs_data.argmax(axis=0)
-    tied = (abs_data == col_inf[np.newaxis, :]).sum(axis=0) > 1
-    if np.any(tied):
-        names = [components.column_ids[j] for j in np.flatnonzero(tied)]
-        warnings.warn(
-            "tied max-abs index in columns "
-            + ", ".join(names)
-            + "; using the earliest index",
-            TieWarning,
-            stacklevel=2,
-        )
-    d = data.shape[1]
-    peak = data[t_star, np.arange(d)]
-    return data[t_star, :].T * peak[np.newaxis, :]
-
-
-def off_diagonal_stats(matrix: np.ndarray) -> tuple:
-    """(max absolute off-diagonal entry, Frobenius norm of the off-diagonal part).
-
-    Diagnostics for how diagonal a tail covariance is, unnormalized; the
-    norm is summed over entries divided by the largest, so cannot overflow.
-    """
-    a = np.asarray(matrix, dtype=np.float64)
-    off = a - np.diag(np.diag(a))
-    top = float(np.abs(off).max()) if a.shape[0] > 1 else 0.0
-    if top == 0.0:
-        return 0.0, 0.0
-    return top, top * float(np.sqrt(((off / top) ** 2).sum()))
 
 
 def tail_covariance_to_csv(tc: TailCovarianceMatrix) -> str:

@@ -18,7 +18,7 @@ from tailica.entropy import correa_entropy, ebrahimi_entropy, vasicek_entropy
 from tailica.evaluate import (
     SyntheticMarketSpec,
     generate_market,
-    run_experiment,
+    run_experiment_artifacts,
     scatter_moment_entropy,
 )
 from tailica.ica import ContrastSpec, amari_index, fit_ica, transform
@@ -245,7 +245,7 @@ def test_out_of_sample_tail_compression():
     t0 = time.monotonic()
     market = generate_market(SyntheticMarketSpec())
     boundary = market.row_ids[len(market.row_ids) // 2]
-    reports = run_experiment(market, boundary, d=30, k_list=[2, 10], seed=0)
+    reports = run_experiment_artifacts(market, boundary, d=30, k_list=[2, 10], seed=0).reports
     by = {(r.k, r.bucket): r for r in reports}
     q2 = by[(2, "out")].pooled_abs_q999
     q10 = by[(10, "out")].pooled_abs_q999

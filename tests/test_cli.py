@@ -295,6 +295,7 @@ def test_usage_error_exit_codes(tmp_path, market_csv, capsys):
         ]
     )
     assert rc == 1
+    assert not (tmp_path / "r").exists()
     # no subcommand prints help and fails
     assert main([]) == 1
     capsys.readouterr()
@@ -329,6 +330,7 @@ def test_numerical_error_exit_code(monkeypatch, tmp_path, market_csv, capsys):
         ]
     )
     assert rc == 3
+    assert not (tmp_path / "r").exists()
     assert "numerical error" in capsys.readouterr().err
 
 
@@ -336,6 +338,7 @@ def test_overflowing_fit_is_a_numerical_error(tmp_path, capsys):
     # The order-300 gradient of the default market exceeds float64.
     rc = main(["eval", "--k", "150", "--max-iter", "5", "--out", str(tmp_path / "r")])
     assert rc == 3
+    assert not (tmp_path / "r").exists()
     assert "numerical error" in capsys.readouterr().err
 
 
@@ -343,6 +346,7 @@ def test_overflowing_tail_covariance_is_a_numerical_error(tmp_path, capsys):
     # The k=117 fit returns; its order-234 tail covariance exceeds float64.
     rc = main(["eval", "--k", "2,117", "--out", str(tmp_path / "r")])
     assert rc == 3
+    assert not (tmp_path / "r").exists()
     assert "numerical error" in capsys.readouterr().err
 
 

@@ -20,7 +20,6 @@ from tailica.evaluate import (
     generate_market,
     histogram_to_csv,
     report_to_dict,
-    run_experiment,
     run_experiment_artifacts,
     scatter_moment_entropy,
     scatter_to_csv,
@@ -302,9 +301,9 @@ def test_scatter_record_rejects_non_finite():
 def test_run_experiment_report_cardinality_and_order():
     panel = small_t_market(seed=6)
     boundary = panel.row_ids[panel.m // 2]
-    reports = run_experiment(
+    reports = run_experiment_artifacts(
         panel, boundary, d=6, k_list=[2, 3], max_iter=150
-    )
+    ).reports
     assert [(r.k, r.bucket) for r in reports] == [
         (2, "in"),
         (2, "out"),
@@ -379,9 +378,9 @@ def test_gaussian_market_central_mass_stable_across_orders():
     )
     panel = generate_market(spec)
     boundary = panel.row_ids[panel.m // 2]
-    reports = run_experiment(
+    reports = run_experiment_artifacts(
         panel, boundary, d=10, k_list=[2, 10], max_iter=200
-    )
+    ).reports
     cm = {(r.k, r.bucket): r.central_mass for r in reports}
     for bucket in ("in", "out"):
         rel = abs(cm[(2, bucket)] - cm[(10, bucket)]) / cm[(2, bucket)]
@@ -392,9 +391,9 @@ def test_run_experiment_validates_k_list():
     panel = small_t_market(seed=9, n=6, m=200)
     boundary = panel.row_ids[panel.m // 2]
     with pytest.raises(ValueError):
-        run_experiment(panel, boundary, d=3, k_list=[])
+        run_experiment_artifacts(panel, boundary, d=3, k_list=[]).reports
     with pytest.raises(ValueError):
-        run_experiment(panel, boundary, d=3, k_list=[2, 2])
+        run_experiment_artifacts(panel, boundary, d=3, k_list=[2, 2]).reports
 
 
 def test_bad_contrast_order_is_rejected_before_any_work(monkeypatch):

@@ -1,0 +1,43 @@
+"""Lint checks written against the standard library alone.
+
+Every imported name in a ``tailica`` module is used, and every name a
+module exports in ``__all__`` exists.
+"""
+
+import ast
+import importlib
+import pathlib
+
+import tailica
+
+SRC = pathlib.Path(tailica.__file__).parent
+MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        # an attribute chain such as np.linalg.svd is rooted in a Name node
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_all_entries_resolve():
+    modules = [tailica] + [importlib.import_module(f"tailica.{path.stem}") for path in MODULES]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not missing, "stale __all__ entries: " + ", ".join(missing)

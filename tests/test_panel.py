@@ -55,16 +55,9 @@ def test_panel_copies_input_array():
     assert p.data[0, 0] == 1.0
 
 
-def test_panel_column_lookup():
-    p = make_panel()
-    np.testing.assert_array_equal(p.column("BBB"), p.data[:, 1])
-    with pytest.raises(DataError):
-        p.column("ZZZ")
-
-
 def test_panel_with_data_keeps_dates():
     p = make_panel()
-    q = p.with_data(p.data * 2.0, column_ids=("x", "y"))
+    q = SamplePanel(p.data * 2.0, ("x", "y"), p.row_ids)
     assert q.row_ids == p.row_ids
     assert q.column_ids == ("x", "y")
     np.testing.assert_array_equal(q.data, p.data * 2.0)
@@ -210,7 +203,7 @@ def test_derived_panels_still_check_data_and_shape():
     with pytest.raises(DataError):
         p.with_data(p.data[:3])
     with pytest.raises(DataError):
-        p.with_data(p.data, column_ids=("x", "x"))
+        SamplePanel(p.data, ("x", "x"), p.row_ids)
     # slices of the row index are plain tuples, so order is checked again
     with pytest.raises(DataError, match="strictly increasing"):
         SamplePanel(p.data, p.column_ids, p.row_ids[::-1])

@@ -7,12 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tailica.errors import DataError, NumericalError, TieWarning
+from tailica.errors import DataError, NumericalError
 from tailica.panel import SamplePanel, center
 from tailica.tailcov import (
     TailCovarianceMatrix,
-    max_overlap_covariance,
-    off_diagonal_stats,
     tail_covariance,
     tail_covariance_to_csv,
 )
@@ -107,29 +105,6 @@ def test_intermediate_overflow_avoided():
     assert tc.values[0, 0] == pytest.approx(want, rel=1e-12)
 
 
-def test_max_overlap_small_exact_case():
-    # column x peaks (by magnitude) at t=2 with -3; column y at t=0 with 2.
-    # entry (i, j) = value of column i at column j's peak time, times the peak.
-    p = panel_from([[1.0, 2.0], [2.0, 1.0], [-3.0, 1.0]], ("x", "y"))
-    ov = max_overlap_covariance(p, check_centered=False)
-    assert np.array_equal(ov, [[9.0, 2.0], [-3.0, 4.0]])
-
-
-def test_max_overlap_tie_warns_earliest():
-    p = panel_from([[2.0, 1.0], [-2.0, 3.0], [1.0, 0.5]], ("x", "y"))
-    with pytest.warns(TieWarning, match="x"):
-        ov = max_overlap_covariance(p, check_centered=False)
-    # earliest peak of x is t=0 (value 2.0)
-    assert ov[0, 0] == 4.0
-    assert ov[1, 0] == 2.0  # y at t=0 times x's peak
-
-
-def test_max_overlap_zero_column_is_error():
-    p = panel_from([[1.0, 0.0], [2.0, 0.0]], ("x", "y"))
-    with pytest.raises(DataError, match="y"):
-        max_overlap_covariance(p, check_centered=False)
-
-
 def test_high_order_limit_approaches_max_overlap():
     # Normalized tail covariance m * T_ij / x_inf(j)^(2k-2) converges to
     # the max-overlap matrix as k grows, provided each column's largest
@@ -141,7 +116,10 @@ def test_high_order_limit_approaches_max_overlap():
         i = np.argmax(np.abs(data[:, j]))
         data[i, j] *= 2.0
     p = panel_from(data)
-    ov = max_overlap_covariance(p, check_centered=False)
+    # entry (i, j): column i at column j's peak time, times that peak
+    d = data.shape[1]
+    t = np.abs(data).argmax(axis=0)
+    ov = data[t, :].T * data[t, np.arange(d)]
     m = data.shape[0]
     col_inf = np.abs(data).max(axis=0)
     errs = []
@@ -161,33 +139,12 @@ def test_centered_check_fires_and_clears():
         tail_covariance(p, 2)
     tc = tail_covariance(center(p), 2)
     assert np.all(np.isfinite(tc.values))
-    with pytest.raises(DataError):
-        max_overlap_covariance(p)
 
 
 def test_order_must_be_positive():
     p = panel_from(np.ones((3, 2)) * [[1.0, -1.0], [0.0, 2.0], [-1.0, -1.0]])
     with pytest.raises(ValueError):
         tail_covariance(p, 0, check_centered=False)
-
-
-def test_off_diagonal_stats():
-    m = np.array([[5.0, 2.0, -1.0], [0.5, 7.0, 0.0], [3.0, -2.0, 9.0]])
-    max_off, frob = off_diagonal_stats(m)
-    assert max_off == 3.0
-    assert frob == pytest.approx(np.sqrt(4 + 1 + 0.25 + 9 + 4), rel=1e-15)
-    assert off_diagonal_stats(np.array([[4.0]])) == (0.0, 0.0)
-
-
-def test_off_diagonal_stats_do_not_overflow():
-    m = np.array([[5.0, 2.0, -1.0], [0.5, 7.0, 0.0], [3.0, -2.0, 9.0]])
-    unit = off_diagonal_stats(m)
-    with np.errstate(all="raise"):
-        max_off, frob = off_diagonal_stats(m * 1e200)
-    assert max_off == 3e200
-    assert np.isfinite(frob)
-    assert frob == pytest.approx(1e200 * unit[1], rel=1e-15)
-    assert off_diagonal_stats(np.diag([1e300, -1e300])) == (0.0, 0.0)
 
 
 def test_overflowing_tail_covariance_is_a_numerical_error():

@@ -128,7 +128,7 @@ def test_parameter_validation():
 def test_apply_rejects_mismatched_columns():
     p = correlated_panel(seed=69)
     t = fit_whitening(p, d=3)
-    reordered = p.with_data(p.data[:, ::-1], column_ids=p.column_ids[::-1])
+    reordered = SamplePanel(p.data[:, ::-1], p.column_ids[::-1], p.row_ids)
     with pytest.raises(DataError, match="mismatch"):
         apply_whitening(t, reordered)
     narrower = panel_from(p.data[:, :4], p.column_ids[:4])

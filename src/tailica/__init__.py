@@ -6,6 +6,8 @@ tail covariance matrices, and estimates differential entropy from order
 statistics to connect high-order moments with entropy.
 """
 
+from inspect import ismodule as _ismodule
+
 from .entropy import (
     EntropyEstimate,
     EntropyEstimatorConfig,
@@ -75,70 +77,7 @@ from .whiten import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors and warnings
-    "TailicaError",
-    "DataError",
-    "NumericalError",
-    "TailicaWarning",
-    "TieWarning",
-    "ReductionWarning",
-    "DroppedDataWarning",
-    # panel
-    "SamplePanel",
-    "BucketSplit",
-    "ingest_csv",
-    "read_wide_csv",
-    "write_wide_csv",
-    "split_buckets",
-    "center",
-    # moments
-    "SampleExtremes",
-    "extremes",
-    "moment",
-    "root_moment",
-    "log_moment",
-    # tail covariance
-    "TailCovarianceMatrix",
-    "tail_covariance",
-    "tail_covariance_to_csv",
-    # entropy
-    "EntropyEstimatorConfig",
-    "EntropyEstimate",
-    "vasicek_entropy",
-    "ebrahimi_entropy",
-    "correa_entropy",
-    "estimate_entropy",
-    "entropy_moment_approximation",
-    "mutual_information_proxy",
-    "default_window",
-    # whitening
-    "WhiteningTransform",
-    "fit_whitening",
-    "apply_whitening",
-    "whitening_to_csv",
-    "whitening_from_csv",
-    # ica
-    "ContrastSpec",
-    "UnmixingMatrix",
-    "KktResidual",
-    "fit_ica",
-    "transform",
-    "kkt_residual",
-    "amari_index",
-    "unmixing_to_csv",
-    "unmixing_from_csv",
-    # evaluation
-    "QUANTILE_LEVELS",
-    "TailReport",
-    "ScatterRecord",
-    "SyntheticMarketSpec",
-    "ExperimentArtifacts",
-    "generate_market",
-    "equal_weight_portfolio",
-    "tail_histogram",
-    "build_tail_report",
-    "scatter_moment_entropy",
-    "run_experiment_artifacts",
-]
+# the public API is every class, function and constant imported above
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not _ismodule(value)
+)

@@ -12,6 +12,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -190,10 +191,12 @@ def _load_panel(params: dict):
         return ingest_csv(path, fill_missing)
     if layout == "wide":
         return read_wide_csv(path)
-    with open(path) as handle:
-        header = handle.readline()
-    cells = [cell.strip().lower() for cell in header.strip().split(",")]
-    if cells == ["date", "symbol", "return"]:
+    try:  # the header as csv.reader splits it, which is how both readers see it
+        with open(path, newline="") as handle:
+            header = next(csv.reader(handle), [])
+    except (UnicodeDecodeError, csv.Error):
+        header = []  # read_wide_csv reports the fault as a DataError
+    if [cell.strip().lower() for cell in header] == ["date", "symbol", "return"]:
         return ingest_csv(path, fill_missing)
     return read_wide_csv(path)
 

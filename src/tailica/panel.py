@@ -8,9 +8,11 @@ after construction; every transformation returns a new panel.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import datetime
-import math
+import io
+import itertools
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -37,13 +39,17 @@ def _check_date(text: str, context: str) -> str:
     only for this one spelling; ``fromisoformat`` alone also accepts
     ``20200101`` and ``2020-W01-1`` on newer Pythons.
     """
-    if len(text) == 10 and text[4] == text[7] == "-":
-        try:
-            datetime.date.fromisoformat(text)
-            return text
-        except ValueError:
-            pass
-    raise DataError(f"{context}: invalid ISO date {text!r}")
+    if not _is_date(text):
+        raise DataError(f"{context}: invalid ISO date {text!r}")
+    return text
+
+
+def _is_date(text: str) -> bool:
+    try:
+        datetime.date.fromisoformat(text)
+    except ValueError:
+        return False
+    return len(text) == 10 and text[4] == text[7] == "-"
 
 
 class _RowIndex(tuple):
@@ -199,25 +205,19 @@ def center(panel: SamplePanel) -> SamplePanel:
     return panel.with_data(panel.data - panel.data.mean(axis=0))
 
 
+@contextlib.contextmanager
 def _open_text(path_or_file, mode="r"):
-    if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, mode, newline=""), True
-
-
-def _intern(codes: dict, names: list, raw: str) -> int:
-    """Code of ``raw.strip()``; a name not seen before gets the next code.
-
-    ``codes`` maps both the raw field and its stripped name to the code, so
-    a field spelled the same way again costs one dict lookup.
-    """
-    name = raw.strip()
-    code = codes.get(name)
-    if code is None:
-        code = codes[name] = len(names)
-        names.append(name)
-    codes[raw] = code
-    return code
+    """A file object as given, or a path opened and closed on exit; input
+    text that does not decode is a ``DataError``."""
+    owned = not (hasattr(path_or_file, "read") or hasattr(path_or_file, "write"))
+    handle = open(path_or_file, mode, newline="") if owned else path_or_file
+    try:
+        yield handle
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot decode input: {exc}") from None
+    finally:
+        if owned:
+            handle.close()
 
 
 def _sorted_ranks(names: list):
@@ -228,18 +228,117 @@ def _sorted_ranks(names: list):
     return [names[i] for i in order], ranks
 
 
-def _duplicate_error(date_codes, symbol_codes, lines, dates, symbols):
-    """Error for the first row, in file order, repeating an earlier (date, symbol)."""
-    d = np.frombuffer(date_codes, dtype=np.int64)
-    s = np.frombuffer(symbol_codes, dtype=np.int64)
-    keys = d * len(symbols) + s
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    repeats = order[1:][ranked[1:] == ranked[:-1]]
-    if not repeats.size:
-        return None
-    i = int(repeats.min())
-    return DataError(f"line {lines[i]}: duplicate row for {symbols[s[i]]} on {dates[d[i]]}")
+_CHUNK = 1 << 16  # characters per read of a long CSV, then to the end of that line
+_BATCH = 1 << 11  # records per batch when csv.reader parses a long CSV
+
+
+class _LongRows:
+    """A long CSV's data rows as columns: date and symbol codes, and values.
+
+    ``codes`` maps each raw spelling, and its stripped name, to the code of
+    the name in ``names``.  ``gaps`` counts the rows before each blank
+    record, which gives a row's line when an error needs it.
+    """
+
+    def __init__(self):
+        self.codes, self.names = ({}, {}), ([], [])
+        self.row_codes, self.values, self.gaps = (array("i"), array("i")), array("d"), array("q")
+
+    def add(self, dates, symbols, values) -> None:
+        """Append rows given as columns of raw fields, checking only spellings
+        not seen before.  At the first bad row, add the codes of the rows
+        before it, for ``fail`` to check them for repeats, and raise."""
+        start, bad, unparsed = len(self.values), len(dates), None
+        columns = (dates, symbols)
+        for column, codes, names, valid in zip(columns, self.codes, self.names, (_is_date, bool)):
+            for raw in sorted(set(column).difference(codes)):
+                name = raw.strip()
+                if not valid(name):
+                    bad = min(bad, column.index(raw))
+                    continue
+                code = codes[raw] = codes.setdefault(name, len(names))
+                if code == len(names):
+                    names.append(name)
+        try:
+            self.values.extend(map(float, values[:bad]))
+        except ValueError:  # extend keeps the values before the one float rejects
+            bad = unparsed = len(self.values) - start
+        finite = np.isfinite(np.frombuffer(self.values, dtype=np.float64)[start:])
+        if not finite.all():
+            bad = int(finite.argmin())
+        for column, codes, row_codes in zip(columns, self.codes, self.row_codes):
+            row_codes.extend(map(codes.get, column[:bad]))
+        if bad < len(dates):  # each fail raises
+            if dates[bad] not in self.codes[0]:
+                self.fail(f"invalid ISO date {dates[bad].strip()!r}")
+            if symbols[bad] not in self.codes[1]:
+                self.fail("empty symbol")
+            self.fail(f"{'bad' if bad == unparsed else 'non-finite'} return {values[bad]!r}")
+
+    def add_lines(self, text: str) -> bool:
+        """Add whole lines that hold no quote, CR or NUL, or return False, adding
+        nothing, if csv.reader must read one: a line that is not blank and
+        has other than three fields, or one as long as csv's field limit."""
+        text += "" if text.endswith("\n") else "\n"
+        raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        if np.diff(ends, prepend=-1).max() > csv.field_size_limit():  # bytes, with the newline
+            return False
+        at = np.searchsorted(ends, np.flatnonzero(raw == ord(",")))  # the line of each comma
+        commas = np.bincount(at, minlength=len(ends))
+        odd = np.flatnonzero(commas != 2).tolist()
+        if odd:
+            lines = text.split("\n")
+            if any(commas[i] or lines[i].strip() for i in odd):
+                return False
+            self.gaps.extend(len(self.values) + i - j for j, i in enumerate(odd))
+            text = "\n".join([*itertools.compress(lines, (commas == 2).tolist()), ""])
+        parts = text.replace("\n", ",").split(",")
+        del parts[-1]  # after the last newline
+        self.add(parts[0::3], parts[1::3], parts[2::3])
+        return True
+
+    def add_records(self, lines) -> None:
+        """Add the records csv.reader parses from ``lines``.
+
+        Fields go straight into columns: records held as lists until a batch
+        is full would keep the cyclic garbage collector busy.
+        """
+        dates, symbols, values, error = [], [], [], None
+        try:
+            for row in csv.reader(lines):
+                if len(row) == 3:
+                    date, symbol, value = row
+                    dates.append(date)
+                    symbols.append(symbol)
+                    values.append(value)
+                    if len(values) == _BATCH:
+                        self.add(dates, symbols, values)
+                        dates, symbols, values = [], [], []
+                elif row and (len(row) > 1 or row[0].strip()):
+                    error = f"expected 3 fields, got {len(row)}"
+                    break
+                else:
+                    self.gaps.append(len(self.values) + len(values))
+        except csv.Error as exc:
+            error = str(exc)
+        self.add(dates, symbols, values)
+        if error:
+            self.fail(error)
+
+    def fail(self, message=None) -> None:
+        """Raise for the first bad line: a row that repeats an earlier (date,
+        symbol), else ``message`` at the line after the last row."""
+        d, s = (np.frombuffer(codes, dtype=np.intc) for codes in self.row_codes)
+        repeats = np.ones(d.size, dtype=bool)
+        repeats[np.unique(d * np.int64(len(self.names[1])) + s, return_index=True)[1]] = False
+        row = int(repeats.argmax()) if repeats.any() else d.size
+        line = row + 2 + bisect.bisect_right(self.gaps, row)
+        if row < d.size:
+            symbol, date = self.names[1][s[row]], self.names[0][d[row]]
+            raise DataError(f"line {line}: duplicate row for {symbol} on {date}")
+        if message:
+            raise DataError(f"line {line}: {message}")
 
 
 def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
@@ -252,75 +351,49 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
     when ``fill_missing`` is true; otherwise symbols with any missing date
     are dropped (with a warning).  Duplicate (date, symbol) pairs and
     unparseable rows are errors; the first bad line in file order is
-    reported.  Each distinct date is validated once, and memory beyond the
-    panel itself is a few dozen bytes per row.
+    reported, counting csv records as lines.
+
+    The file is read in chunks of whole lines, split at commas and checked
+    a column at a time, each distinct spelling once.  From the first chunk
+    with a double quote, a carriage return, a NUL, a line of other than
+    three fields or one as long as csv's field limit, to the end of the file,
+    ``csv.reader`` parses the records (where a lone carriage return ends a
+    line, as with ``newline=""``).  Memory beyond the panel and one chunk
+    is 16 bytes a row, two int32 codes and the value, and 8 more while the
+    panel is built.
     """
-    date_codes: dict = {}
-    symbol_codes: dict = {}
-    dates: list = []  # code -> date
-    symbols: list = []  # code -> symbol
-    row_dates = array("q")
-    row_symbols = array("q")
-    values = array("d")
-    lines = array("q")  # read only to report duplicates
-    handle, owned = _open_text(path_or_file)
-    try:
-        reader = csv.reader(handle)
+    rows = _LongRows()
+    with _open_text(path_or_file) as handle:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty input file") from None
+            header = next(csv.reader(handle), None)
+        except csv.Error as exc:
+            raise DataError(f"line 1: {exc}") from None
+        if header is None:
+            raise DataError("empty input file")
         if [h.strip().lower() for h in header] != ["date", "symbol", "return"]:
             raise DataError(f"expected header date,symbol,return, got {header!r}")
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 3:
-                    if not row or (len(row) == 1 and not row[0].strip()):
-                        continue
-                    raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}")
-                raw_date, raw_symbol, raw_value = row
-                d = date_codes.get(raw_date)
-                if d is None:
-                    _check_date(raw_date.strip(), f"line {lineno}")
-                    d = _intern(date_codes, dates, raw_date)
-                s = symbol_codes.get(raw_symbol)
-                if s is None:
-                    if not raw_symbol.strip():
-                        raise DataError(f"line {lineno}: empty symbol")
-                    s = _intern(symbol_codes, symbols, raw_symbol)
-                try:
-                    value = float(raw_value)
-                except ValueError:
-                    raise DataError(f"line {lineno}: bad return {raw_value!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(f"line {lineno}: non-finite return {raw_value!r}")
-                row_dates.append(d)
-                row_symbols.append(s)
-                values.append(value)
-                lines.append(lineno)
-        except DataError:
-            # a duplicate on an earlier line is the first bad line
-            error = _duplicate_error(row_dates, row_symbols, lines, dates, symbols)
-            if error is None:
-                raise
-            raise error from None
-    finally:
-        if owned:
-            handle.close()
-    if not values:
+        while text := handle.read(_CHUNK):
+            text += handle.readline()
+            # csv.reader reads quotes and CRs its own way, and NULs before Python 3.11
+            if '"' in text or "\r" in text or "\0" in text or not rows.add_lines(text):
+                rows.add_records(itertools.chain(io.StringIO(text, newline=""), handle))
+                break
+    if not rows.values:
         raise DataError("no data rows in input")
-    error = _duplicate_error(row_dates, row_symbols, lines, dates, symbols)
-    if error is not None:
-        raise error
-    date_list, date_ranks = _sorted_ranks(dates)
-    symbol_list, symbol_ranks = _sorted_ranks(symbols)
-    i = date_ranks[np.frombuffer(row_dates, dtype=np.int64)]
-    j = symbol_ranks[np.frombuffer(row_symbols, dtype=np.int64)]
-    data = np.zeros((len(date_list), len(symbol_list)))
-    data[i, j] = np.frombuffer(values, dtype=np.float64)
+    date_list, date_ranks = _sorted_ranks(rows.names[0])
+    symbol_list, symbol_ranks = _sorted_ranks(rows.names[1])
+    cells = date_ranks[np.frombuffer(rows.row_codes[0], dtype=np.intc)] * len(symbol_list)
+    cells += symbol_ranks[np.frombuffer(rows.row_codes[1], dtype=np.intc)]
+    present = np.zeros((len(date_list), len(symbol_list)), dtype=bool)
+    present.reshape(-1)[cells] = True
+    if np.count_nonzero(present) < cells.size:
+        rows.fail()  # a (date, symbol) repeats
+    values = rows.values
+    del rows  # the codes
+    data = np.zeros(present.shape)
+    data.reshape(-1)[cells] = np.frombuffer(values, dtype=np.float64)
+    del cells, values
     if not fill_missing:
-        present = np.zeros(data.shape, dtype=bool)
-        present[i, j] = True
         complete = present.all(axis=0)
         dropped = [sym for sym, ok in zip(symbol_list, complete) if not ok]
         if dropped:
@@ -341,36 +414,35 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
 
 def read_wide_csv(path_or_file) -> SamplePanel:
     """Read a wide-format panel: header ``date,<sym1>,<sym2>,...``, one row per date."""
-    handle, owned = _open_text(path_or_file)
-    try:
+    with _open_text(path_or_file) as handle:
         reader = csv.reader(handle)
+        lineno = 0  # records read
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("empty input file") from None
-        if len(header) < 2 or header[0].strip().lower() != "date":
-            raise DataError("wide CSV must start with a 'date' column")
-        columns = tuple(h.strip() for h in header[1:])
-        rows = []
-        dates = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            date = _check_date(row[0].strip(), f"line {lineno}")
-            if dates and date <= dates[-1]:
-                raise DataError(f"line {lineno}: row dates not strictly increasing at {date!r}")
-            dates.append(date)
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise DataError(f"line {lineno}: bad numeric field") from None
-    finally:
-        if owned:
-            handle.close()
+            header = next(reader, None)
+            lineno = 1
+            if header is None:
+                raise DataError("empty input file")
+            if len(header) < 2 or header[0].strip().lower() != "date":
+                raise DataError("wide CSV must start with a 'date' column")
+            columns = tuple(h.strip() for h in header[1:])
+            rows = []
+            dates = []
+            for row in reader:
+                lineno += 1
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+                date = _check_date(row[0].strip(), f"line {lineno}")
+                if dates and date <= dates[-1]:
+                    raise DataError(f"line {lineno}: row dates not strictly increasing at {date!r}")
+                dates.append(date)
+                try:
+                    rows.append([float(v) for v in row[1:]])
+                except ValueError:
+                    raise DataError(f"line {lineno}: bad numeric field") from None
+        except csv.Error as exc:
+            raise DataError(f"line {lineno + 1}: {exc}") from None
     if not rows:
         raise DataError("no data rows in input")
     return SamplePanel(np.array(rows), columns, _RowIndex(dates))
@@ -383,11 +455,7 @@ def write_wide_csv(panel: SamplePanel, path_or_file) -> None:
     quoting.  Data rows are joined directly: dates are canonical
     ``YYYY-MM-DD`` and values are finite floats, so no field needs quoting.
     """
-    handle, owned = _open_text(path_or_file, "w")
-    try:
+    with _open_text(path_or_file, "w") as handle:
         csv.writer(handle, lineterminator="\n").writerow(("date",) + panel.column_ids)
         for date, row in zip(panel.row_ids, panel.data):
             handle.write(date + "," + ",".join(map(repr, row.tolist())) + "\n")
-    finally:
-        if owned:
-            handle.close()

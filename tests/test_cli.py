@@ -59,6 +59,38 @@ def test_ingest_long_to_wide(tmp_path):
     np.testing.assert_array_equal(panel.data, [[0.25, -0.5], [1.0, 0.5]])
 
 
+def test_oversized_field_is_a_data_error(tmp_path, capsys):
+    src = tmp_path / "big.csv"
+    src.write_text("date,symbol,return\n2020-01-01,AAA,1.0\n2020-01-02," + "S" * 200_000 + ",1.0\n")
+    out = tmp_path / "o.csv"
+    assert main(["ingest", "--input", str(src), "--out", str(out)]) == 2
+    assert "tailica: data error: line 3: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_undecodable_input_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    for name, text in [
+        ("row.csv", b"date,symbol,return\n2020-01-01,A\xff,1.0\n"),
+        ("header.csv", b"date,symbol,return\xff\n2020-01-01,A,1.0\n"),
+    ]:
+        (tmp_path / name).write_bytes(text)
+        for layout in ("auto", "long", "wide"):
+            argv = ["ingest", "--input", str(tmp_path / name), "--format", layout, "--out", str(out)]
+            assert main(argv) == 2
+            assert "tailica: data error: cannot decode input" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_auto_detect_reads_a_quoted_long_header(tmp_path):
+    src = tmp_path / "qh.csv"
+    src.write_text('"date","symbol","return"\n2020-01-01,AAA,0.5\n2020-01-02,AAA,1.5\n')
+    assert main(["ingest", "--input", str(src), "--out", str(tmp_path / "auto.csv")]) == 0
+    long_args = ["ingest", "--input", str(src), "--format", "long", "--out", str(tmp_path / "long.csv")]
+    assert main(long_args) == 0
+    assert (tmp_path / "auto.csv").read_bytes() == (tmp_path / "long.csv").read_bytes()
+
+
 def test_fit_writes_all_artifacts(tmp_path, market_csv):
     out = tmp_path / "run"
     rc = main(

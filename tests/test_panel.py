@@ -4,7 +4,9 @@ import collections
 import csv
 import datetime
 import io
+import math
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -454,6 +456,258 @@ def test_ingest_csv_matches_a_loop_reference(fill_missing):
     assert p.row_ids == row_ids
     assert p.data.shape == data.shape
     assert p.data.tobytes() == data.tobytes()
+
+
+def _reference_open_text(path_or_file, mode="r"):
+    if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
+        return path_or_file, False
+    return open(path_or_file, mode, newline=""), True
+
+
+def _reference_intern(codes: dict, names: list, raw: str) -> int:
+    """Code of ``raw.strip()``; a name not seen before gets the next code.
+
+    ``codes`` maps both the raw field and its stripped name to the code, so
+    a field spelled the same way again costs one dict lookup.
+    """
+    name = raw.strip()
+    code = codes.get(name)
+    if code is None:
+        code = codes[name] = len(names)
+        names.append(name)
+    codes[raw] = code
+    return code
+
+
+def _reference_duplicate_error(date_codes, symbol_codes, lines, dates, symbols):
+    """Error for the first row, in file order, repeating an earlier (date, symbol)."""
+    d = np.frombuffer(date_codes, dtype=np.int64)
+    s = np.frombuffer(symbol_codes, dtype=np.int64)
+    keys = d * len(symbols) + s
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if not repeats.size:
+        return None
+    i = int(repeats.min())
+    return DataError(f"line {lines[i]}: duplicate row for {symbols[s[i]]} on {dates[d[i]]}")
+
+
+def _reference_ingest(path_or_file, fill_missing: bool = True) -> SamplePanel:
+    """``ingest_csv`` as one loop over csv records, kept as its reference."""
+    date_codes: dict = {}
+    symbol_codes: dict = {}
+    dates: list = []  # code -> date
+    symbols: list = []  # code -> symbol
+    row_dates = array("q")
+    row_symbols = array("q")
+    values = array("d")
+    lines = array("q")  # read only to report duplicates
+    handle, owned = _reference_open_text(path_or_file)
+    try:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError("empty input file") from None
+        if [h.strip().lower() for h in header] != ["date", "symbol", "return"]:
+            raise DataError(f"expected header date,symbol,return, got {header!r}")
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 3:
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    raise DataError(f"line {lineno}: expected 3 fields, got {len(row)}")
+                raw_date, raw_symbol, raw_value = row
+                d = date_codes.get(raw_date)
+                if d is None:
+                    panel_module._check_date(raw_date.strip(), f"line {lineno}")
+                    d = _reference_intern(date_codes, dates, raw_date)
+                s = symbol_codes.get(raw_symbol)
+                if s is None:
+                    if not raw_symbol.strip():
+                        raise DataError(f"line {lineno}: empty symbol")
+                    s = _reference_intern(symbol_codes, symbols, raw_symbol)
+                try:
+                    value = float(raw_value)
+                except ValueError:
+                    raise DataError(f"line {lineno}: bad return {raw_value!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(f"line {lineno}: non-finite return {raw_value!r}")
+                row_dates.append(d)
+                row_symbols.append(s)
+                values.append(value)
+                lines.append(lineno)
+        except DataError:
+            # a duplicate on an earlier line is the first bad line
+            error = _reference_duplicate_error(row_dates, row_symbols, lines, dates, symbols)
+            if error is None:
+                raise
+            raise error from None
+    finally:
+        if owned:
+            handle.close()
+    if not values:
+        raise DataError("no data rows in input")
+    error = _reference_duplicate_error(row_dates, row_symbols, lines, dates, symbols)
+    if error is not None:
+        raise error
+    date_list, date_ranks = panel_module._sorted_ranks(dates)
+    symbol_list, symbol_ranks = panel_module._sorted_ranks(symbols)
+    i = date_ranks[np.frombuffer(row_dates, dtype=np.int64)]
+    j = symbol_ranks[np.frombuffer(row_symbols, dtype=np.int64)]
+    data = np.zeros((len(date_list), len(symbol_list)))
+    data[i, j] = np.frombuffer(values, dtype=np.float64)
+    if not fill_missing:
+        present = np.zeros(data.shape, dtype=bool)
+        present[i, j] = True
+        complete = present.all(axis=0)
+        dropped = [sym for sym, ok in zip(symbol_list, complete) if not ok]
+        if dropped:
+            warnings.warn(
+                f"dropped {len(dropped)} symbols with missing dates: "
+                + ", ".join(dropped[:10])
+                + ("..." if len(dropped) > 10 else ""),
+                DroppedDataWarning,
+                stacklevel=2,
+            )
+        symbol_list = [sym for sym, ok in zip(symbol_list, complete) if ok]
+        if not symbol_list:
+            raise DataError("every symbol has missing dates; nothing to ingest")
+        data = data[:, complete]
+    # distinct checked dates, sorted: a valid row index as they stand
+    return SamplePanel(data, tuple(symbol_list), panel_module._RowIndex(date_list))
+
+
+
+def _ingest_outcome(read, source, fill_missing):
+    """A reader's panel and warnings, or its ``DataError``, in comparable form."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            p = read(source, fill_missing)
+        except DataError as exc:
+            return DataError, str(exc)
+    return p.data.tobytes(), p.data.shape, p.row_ids, p.column_ids, [str(w.message) for w in caught]
+
+
+def _expected(text, fill_missing):
+    """What ``ingest_csv`` must give: the loop's outcome, except that csv's own
+    error (which the loop let escape) is a ``DataError`` at its record, unless
+    an earlier record repeats a (date, symbol)."""
+    try:
+        return _ingest_outcome(_reference_ingest, io.StringIO(text), fill_missing)
+    except csv.Error as exc:
+        lines = io.StringIO(text).readlines()
+        reader = csv.reader(lines)
+        line, consumed = 1, 0
+        try:
+            for _ in reader:
+                line, consumed = line + 1, reader.line_num
+        except csv.Error:
+            pass
+        before = _ingest_outcome(_reference_ingest, io.StringIO("".join(lines[:consumed])), fill_missing)
+        if before[0] is DataError and "duplicate" in before[1]:
+            return before
+        return DataError, f"line {line}: {exc}"
+
+
+FUZZ_DATES = ["2020-01-01", "2020-01-02", "2020-01-06", "2020-01-03"]
+FUZZ_SYMBOLS = ["AAA", "BBB", "H", "D,E", "F\nG", 'say "hi"']  # the last three need quotes
+FUZZ_VALUES = ["1.5", "-0.25", " 2.0 ", "0", "-0.0", "1e-300", "1_0", "1E5"]
+FUZZ_BAD_FIELDS = [
+    (0, "2020-02-30"), (0, "20200107"), (0, ""), (0, ' "2020-01-01"'), (1, ""), (1, "  "),
+    (1, "X" * 80), (2, "inf"), (2, "nan"), (2, "-inf"), (2, "xyz"), (2, ""), (2, "1.0 2"),
+]  # fmt: skip
+FUZZ_ODD_LINES = [
+    "", "   ", "\t", "2020-01-07", "2020-01-07,AAA", "2020-01-07,AAA,1.0,2.0", ",",
+    "2020-01-07,N\0UL,1.0",
+]  # fmt: skip
+
+
+def _fuzz_spelling(rng, field, quoted):
+    if quoted and (rng.random() < 0.3 or any(c in field for c in ',"\n')):
+        return '"' + field.replace('"', '""') + '"'
+    return str(rng.choice([field, f" {field}", f"{field}  "]))
+
+
+def _fuzz_case(rng):
+    """A long CSV: rows of distinct (date, symbol), then a few mutations.
+
+    Most cases quote no field, so they are read without csv.reader.
+    """
+    quoted = rng.random() < 0.3
+    pairs = [(d, s) for d in FUZZ_DATES for s in FUZZ_SYMBOLS[: 3 + 3 * quoted]]
+    rows = [
+        [_fuzz_spelling(rng, field, quoted) for field in (*pairs[t], rng.choice(FUZZ_VALUES))]
+        for t in rng.permutation(len(pairs))[: rng.integers(1, 14)]
+    ]
+    lines = [",".join(row) for row in rows]
+    for _ in range(rng.choice(4, p=[0.4, 0.3, 0.2, 0.1])):
+        at = int(rng.integers(0, len(lines) + 1))
+        kind = rng.integers(3)
+        if kind == 0:  # a bad field
+            column, field = FUZZ_BAD_FIELDS[rng.integers(len(FUZZ_BAD_FIELDS))]
+            row = list(rows[rng.integers(len(rows))])
+            row[column] = field
+            lines.insert(at, ",".join(row))
+        elif kind == 1:  # a blank or odd line
+            lines.insert(at, FUZZ_ODD_LINES[rng.integers(len(FUZZ_ODD_LINES))])
+        else:  # a repeat of a row
+            lines.insert(at, ",".join(rows[rng.integers(len(rows))]))
+    header = rng.choice(["date,symbol,return", '"date","symbol","return"', "Date, Symbol ,RETURN"])
+    newline = "\r\n" if rng.random() < 0.2 else "\n"
+    text = newline.join([header, *lines]) + newline
+    return text[: -len(newline)] if rng.random() < 0.2 else text
+
+
+def test_ingest_csv_matches_the_loop_reference(monkeypatch, tmp_path):
+    rng = np.random.default_rng(12)
+    shipped = (panel_module._CHUNK, panel_module._BATCH)
+    limit = csv.field_size_limit(64)  # FUZZ_BAD_FIELDS has a longer symbol
+    try:
+        for case in range(400):
+            text = _fuzz_case(rng)
+            fill_missing = bool(rng.random() < 0.7)
+            expected = _expected(text, fill_missing)
+            for chunk, batch in ((1, 1), (7, 2), (40, 3), shipped):
+                monkeypatch.setattr(panel_module, "_CHUNK", chunk)
+                monkeypatch.setattr(panel_module, "_BATCH", batch)
+                got = _ingest_outcome(ingest_csv, io.StringIO(text), fill_missing)
+                assert got == expected, (case, chunk, text)
+            path = tmp_path / f"case{case % 4}.csv"
+            path.write_bytes(text.encode())
+            assert _ingest_outcome(ingest_csv, path, fill_missing) == expected, (case, text)
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_oversized_field_is_a_data_error_on_both_paths():
+    big = "S" * 200_000
+    plain = f"date,symbol,return\n2020-01-01,AAA,1.0\n2020-01-02,{big},1.0\n"
+    # the long line sends the plain file to csv.reader after one numpy pass, the quote at once
+    for text in (plain, plain.replace("AAA", '"AAA"')):
+        with pytest.raises(DataError, match="^line 3: field larger than field limit"):
+            ingest_csv(io.StringIO(text))
+    repeat_first = plain.replace("2020-01-02,", "2020-01-01,AAA,2.0\n2020-01-02,")
+    with pytest.raises(DataError, match="^line 3: duplicate row for AAA on 2020-01-01"):
+        ingest_csv(io.StringIO(repeat_first))
+    with pytest.raises(DataError, match="^line 1: field larger than field limit"):
+        ingest_csv(io.StringIO(f"date,symbol,{big}\n"))
+    with pytest.raises(DataError, match="^line 3: field larger than field limit"):
+        read_wide_csv(io.StringIO(f"date,A\n2020-01-01,1.0\n2020-01-02,{big}\n"))
+    with pytest.raises(DataError, match="^line 1: field larger than field limit"):
+        read_wide_csv(io.StringIO(f"date,{big}\n2020-01-01,1.0\n"))
+
+
+def test_undecodable_input_is_a_data_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"date,symbol,return\n2020-01-01,\xff,1.0\n")
+    with pytest.raises(DataError, match="^cannot decode input: .* byte 0xff"):
+        ingest_csv(path)
+    path.write_bytes(b"date,\xff\n2020-01-01,1.0\n")
+    with pytest.raises(DataError, match="^cannot decode input: .* byte 0xff"):
+        read_wide_csv(path)
 
 
 def test_wide_csv_round_trip_is_exact(tmp_path):

@@ -32,7 +32,7 @@ from .evaluate import (
 )
 from .ica import transform as unmix_transform
 from .ica import unmixing_from_csv, unmixing_to_csv
-from .panel import SamplePanel, center, ingest_csv, read_wide_csv, write_wide_csv
+from .panel import SamplePanel, _open_text, center, ingest_csv, read_wide_csv, write_wide_csv
 from .tailcov import tail_covariance, tail_covariance_to_csv
 from .whiten import apply_whitening, whitening_from_csv, whitening_to_csv
 
@@ -145,7 +145,7 @@ def _load_config(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, value = line.split("=", 1)
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     return values
 
@@ -266,11 +266,11 @@ def _cmd_fit(params: dict) -> dict:
 
 def _cmd_transform(params: dict) -> SamplePanel:
     panel = read_wide_csv(params["input"])
-    with open(params["whitening"]) as handle:
+    with _open_text(params["whitening"]) as handle:
         transform_w = whitening_from_csv(handle.read())
     result = apply_whitening(transform_w, panel)
     if params["unmixing"]:
-        with open(params["unmixing"]) as handle:
+        with _open_text(params["unmixing"]) as handle:
             unmixing = unmixing_from_csv(handle.read())
         result = unmix_transform(unmixing, result)
     return result

@@ -17,7 +17,8 @@ few bits, which a fixed-point step tolerates: it needs a direction, not
 bitwise powers.  ``moments`` and ``tailcov`` keep ``np.power``, because
 their results are promised to match direct evaluation bit for bit
 wherever it does not overflow.  The projections are formed in column
-order, so that their per-column max and rescaling read contiguous memory.
+order and their powers keep it, so that the per-column max, rescaling and
+damping mean read contiguous memory; the mean is summed pairwise per column.
 
 Each step orthogonalizes with one SVD of the update, rescaled by a power
 of two.  Its singular values also decide whether the update is rank
@@ -115,11 +116,12 @@ def _int_power(x: np.ndarray, p: int) -> np.ndarray:
     """x**p for an integer p >= 0 by left-to-right repeated squaring.
 
     Each step multiplies in place into the one array it returns, so the
-    only full-size allocation is the result.  Each rounding is compounded
+    only full-size allocation is the result, in the memory order of ``x``
+    (column order for the solver's projections).  Each rounding is compounded
     by the squarings after it, so the result is within p ulps of
     ``np.power`` (13 ulps at most measured at p = 19).
     """
-    out = np.ones_like(x) if p == 0 else x.copy()
+    out = np.ones_like(x) if p == 0 else x.copy(order="K")
     for bit in bin(p)[3:]:
         np.multiply(out, out, out=out)
         if bit == "1":

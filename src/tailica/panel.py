@@ -75,11 +75,15 @@ def _check_rows(rows: tuple) -> _RowIndex:
     first invalid date, which wins over an earlier order break.
     """
     m = len(rows)
-    wrong = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=m) != 10)
-    n = int(wrong[0]) if wrong.size else m  # rows before n are 10 characters
-    text = np.frombuffer("".join(rows).encode("ascii", "replace"), np.uint8, 10 * n)
-    digits = text.reshape(n, 10).T.copy()  # a row per character position
-    del text
+    text = ("\n".join(rows) + "\n").encode("ascii", "replace")  # a byte per character
+    raw = np.frombuffer(text, np.uint8)
+    if raw.size == 11 * m and np.all(raw[10::11] == ord("\n")) and text.count(b"\n") == m:
+        n = m  # every row is 10 characters, none a newline
+    else:
+        wrong = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=m) != 10)
+        n = int(wrong[0]) if wrong.size else m  # rows before n are 10 characters
+    digits = raw[: 11 * n].reshape(n, 11)[:, :10].T.copy()  # a row per character position
+    del text, raw
     ok = (digits[4] == ord("-")) & (digits[7] == ord("-"))
     digits -= ord("0")  # a digit becomes its value, any other byte wraps above 9
     fields = []  # int16, built in place; only rows with a non-digit can wrap
@@ -117,7 +121,9 @@ class SamplePanel:
     The dates are checked once: panels derived from this one (``with_data``,
     ``split_buckets``, whitening and unmixing) reuse the validated index,
     while their data, shape and columns are checked like any other panel's.
-    Any other row index is checked in one array pass, not date by date.
+    Any other row index is checked in one array pass, not date by date: rows
+    joined by newlines (through ``str`` unless all are plain ``str``) are read
+    as one 10-character date per line when every 11th byte is a newline.
     """
 
     data: np.ndarray
@@ -139,7 +145,9 @@ class SamplePanel:
         rows = self.row_ids
         trusted = isinstance(rows, _RowIndex)
         if not trusted:
-            rows = tuple(map(str, rows))
+            rows = tuple(rows)
+            if set(map(type, rows)) != {str}:
+                rows = tuple(map(str, rows))
         if len(columns) != n:
             raise DataError(f"{len(columns)} column ids for {n} columns")
         if len(rows) != m:

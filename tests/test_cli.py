@@ -11,7 +11,7 @@ from tailica.errors import NumericalError
 from tailica.ica import unmixing_from_csv
 from tailica.panel import read_wide_csv
 from tailica.tailcov import tail_covariance
-from tailica.whiten import whitening_from_csv
+from tailica.whiten import fit_whitening, whitening_from_csv, whitening_to_csv
 
 SYNTH_SMALL = ["--assets", "8", "--samples", "400", "--seed", "1"]
 
@@ -195,6 +195,27 @@ def test_transform_whitening_only(tmp_path, market_csv):
     )
     assert rc == 0
     assert read_wide_csv(trans).column_ids == ("pc_0001", "pc_0002", "pc_0003")
+
+
+def test_undecodable_transform_matrix_is_a_data_error(tmp_path, market_csv, capsys):
+    whitening = tmp_path / "whitening.csv"
+    whitening.write_text(whitening_to_csv(fit_whitening(read_wide_csv(market_csv), 3)))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"tailica-W v1, k=2\xff\n")
+    out = tmp_path / "o.csv"
+    argv = ["transform", "--input", str(market_csv), "--out", str(out)]
+    for matrices in (["--whitening", bad], ["--whitening", whitening, "--unmixing", bad]):
+        assert main(argv + [str(path) for path in matrices]) == 2
+        assert "tailica: data error: cannot decode input" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_undecodable_config_file_is_a_usage_error_that_names_it(tmp_path, market_csv, capsys):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"d=4\xff\n")
+    argv = ["fit", "--config", str(config), "--input", str(market_csv), "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert f"cannot read config file {config}" in capsys.readouterr().err
 
 
 def test_entropy_stdout_and_file(tmp_path, market_csv, capsys):

@@ -1,6 +1,7 @@
 """Tests for the fixed-point unmixing search and its diagnostics."""
 
 import datetime
+import math
 import tracemalloc
 import warnings
 
@@ -436,11 +437,12 @@ def test_overflowing_update_raises_without_a_runtime_warning(default_white):
             fit_ica(default_white, ContrastSpec(150), seed=0, max_iter=5)
 
 
-def _c_order_update(y, w, k):
-    """The fixed-point update from C-ordered projections y @ w, written out."""
+def _fsum_damping_update(y, w, k):
+    """The fixed-point update written out, its damping mean exactly rounded."""
     r, exp2 = _pow2_scale(y @ w)
     power = ica_module._int_power(r, 2 * k - 2)
-    damp = np.ldexp((2 * k - 1) * np.mean(power, axis=0), exp2 * (2 * k - 2))
+    mean = np.array([math.fsum(column.tolist()) for column in power.T]) / y.shape[0]
+    damp = np.ldexp((2 * k - 1) * mean, exp2 * (2 * k - 2))
     np.multiply(power, r, out=power)
     grad = np.ldexp(y.T @ power / y.shape[0], exp2 * (2 * k - 1))
     return grad - w * damp[np.newaxis, :]
@@ -453,21 +455,62 @@ def tall_white():
 
 
 @pytest.mark.parametrize("panel", ["default_white", "tall_white"])
-def test_column_ordered_update_matches_the_c_order_form(panel, request, monkeypatch):
-    # Only the layout of the projections changes; the powers, the damping
-    # mean and y' @ power are taken in C order as before.  Bit for bit equal
-    # with OpenBLAS; the bound leaves room for a BLAS that rounds the two
-    # products of the projections differently.
+def test_update_matches_a_reference_with_an_exactly_rounded_damping_mean(
+    panel, request, monkeypatch
+):
+    # The damping mean of a column-ordered power is summed pairwise; on
+    # tall_white it was 1.3e-16 relative from the exactly rounded one, where
+    # summing a row-ordered power was 3.4e-14 off.  y' @ power is bit for bit
+    # equal in either layout with OpenBLAS; the bound leaves room for a BLAS
+    # that rounds the products of the projections differently.
     z = request.getfixturevalue(panel)
     rng = np.random.default_rng(95)
     for k in (2, 10):
         w, _ = np.linalg.qr(rng.standard_normal((z.n, z.n)))
         got = ica_module._raw_update(z.data, w, k)
-        want = _c_order_update(z.data, w, k)
+        want = _fsum_damping_update(z.data, w, k)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), k
     fits = {k: fit_ica(z, ContrastSpec(k), seed=0) for k in (2, 10)}
-    monkeypatch.setattr(ica_module, "_raw_update", _c_order_update)
+    monkeypatch.setattr(ica_module, "_raw_update", _fsum_damping_update)
     for k, W in fits.items():
         ref = fit_ica(z, ContrastSpec(k), seed=0)
         assert (W.iterations, W.converged) == (ref.iterations, ref.converged), k
         assert np.abs(W.w - ref.w).max() < 1e-12, k
+
+
+def test_int_power_keeps_column_order():
+    x = np.random.default_rng(96).uniform(-1.0, 1.0, size=(500, 3))
+    f = np.asfortranarray(x)
+    for p in range(20):
+        got = ica_module._int_power(f, p)
+        assert got.flags.f_contiguous, p
+        assert np.array_equal(got, ica_module._int_power(x, p)), p
+
+
+def test_update_builds_no_row_ordered_full_size_array(tall_white, monkeypatch):
+    # Every m x d array that numpy returns inside the update, powers and
+    # products included, keeps the column order of the projections.
+    y = tall_white.data
+    layouts = []
+
+    class LayoutSpy:
+        """numpy as the solver sees it, noting the layout of each m x d result."""
+
+        def __getattr__(self, name):
+            func = getattr(np, name)
+            if not callable(func) or isinstance(func, type):
+                return func
+
+            def call(*args, **kwargs):
+                out = func(*args, **kwargs)
+                if isinstance(out, np.ndarray) and out.shape == y.shape:
+                    layouts.append((name, out.flags.f_contiguous))
+                return out
+
+            return call
+
+    monkeypatch.setattr(ica_module, "np", LayoutSpy())
+    w, _ = np.linalg.qr(np.random.default_rng(97).standard_normal((4, 4)))
+    for k in (2, 10):
+        ica_module._raw_update(y, w, k)
+    assert layouts and all(f for _, f in layouts), layouts

@@ -227,7 +227,12 @@ ROW_ID_CASES = [
     "2020-00-10", "2020-13-01", "2020-01-00", "2020-01-32", "2020-04-31", "2020-12-31",
     "0000-01-01", "0001-01-01", "9999-12-31", "2020-0\u0663-01", "2020-01-1", "2020-01-011",
     "+020-01-01", "2020 01-01", "2020-01T01", "20200101", "2020-W01-1", "", "2020/01/01",
+    "2020-01\n01", "2020-01-01\n", "\n2020-01-0",
 ]  # fmt: skip
+
+
+class _DateText(str):
+    """A row id that is a string without being a plain ``str``."""
 
 
 def _random_row_ids(rng):
@@ -268,12 +273,19 @@ def _outcome(build, rows):
 def test_row_index_check_matches_a_loop_reference():
     rng = np.random.default_rng(20)
     cases = [("2019-12-31", c) for c in ROW_ID_CASES] + [(c, "9999-12-31") for c in ROW_ID_CASES]
+    cases += [
+        ("2020-01-0", "12020-01-02"),  # joined, two increasing dates
+        ("2020-01-01\n2020-01-0", ""),  # a newline at every 11th character
+        np.array(["2020-01-01", "2020-01-02"]),
+        (_DateText("2020-01-01"), _DateText("2020-01-02")),
+    ]
     cases += [_random_row_ids(rng) for _ in range(6000)]
     kinds = collections.Counter()
     for rows in cases:
         expected = _outcome(_reference_row_index, rows)
         got = _outcome(lambda r: SamplePanel(np.zeros((len(r), 1)), ("a",), r).row_ids, rows)
         assert got == expected, rows
+        assert got[0] != "ok" or all(type(r) is str for r in got[1]), rows
         kinds["ok" if got[0] == "ok" else "order" if "increasing" in got[1] else "date"] += 1
     assert kinds.keys() == {"ok", "date", "order"} and min(kinds.values()) > 1000
 

@@ -9,16 +9,12 @@ E[(w_i'y)(w_j'y)^(2k-1)] = E[(w_j'y)(w_i'y)^(2k-1)], i.e. a symmetric tail
 covariance, not a diagonal one: its off-diagonal entries vanish only for
 tail-independent components, so a converged fit on a sample keeps some.
 
-The solver builds u^(2k-2) and u^(2k-1) on the full sample every
-iteration, by repeated squaring rather than ``np.power``, which serves an
-integer exponent other than 2 through libm ``pow`` at dozens of times the
-cost per element.  The powers then differ from ``np.power`` in their last
-few bits, which a fixed-point step tolerates: it needs a direction, not
-bitwise powers.  ``moments`` and ``tailcov`` keep ``np.power``, because
-their results are promised to match direct evaluation bit for bit
-wherever it does not overflow.  The projections are formed in column
-order and their powers keep it, so that the per-column max, rescaling and
-damping mean read contiguous memory; the mean is summed pairwise per column.
+Each step's one full-size array is the projections, in column order,
+scaled, powered by repeated squaring and multiplied in place a cache-sized
+row block at a time.  ``np.power`` serves an integer exponent through libm
+``pow`` at dozens of times the cost; the powers differ from it in their last
+bits, which a step that needs only a direction tolerates, while ``moments``
+and ``tailcov``, which promise bitwise results, keep it.
 
 Each step orthogonalizes with one SVD of the update, rescaled by a power
 of two.  Its singular values also decide whether the update is rank
@@ -32,12 +28,13 @@ the fit raises ``NumericalError`` (CLI exit code 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .moments import _pow2_scale
+from .moments import _pow2_exponents
 from .panel import SamplePanel
 from .tailcov import tail_covariance
 from .whiten import _fix_signs
@@ -57,6 +54,7 @@ __all__ = [
 # updates smaller than this are numerical noise around an exact stationary
 # point (quadratic contrast on white data, or exactly Gaussian columns)
 _STATIONARY_EPS = 1e-11
+_BLOCK_ROWS = 1 << 13  # rows per cache-sized block of the update's elementwise chain
 
 
 @dataclass(frozen=True)
@@ -115,11 +113,9 @@ class KktResidual:
 def _int_power(x: np.ndarray, p: int) -> np.ndarray:
     """x**p for an integer p >= 0 by left-to-right repeated squaring.
 
-    Each step multiplies in place into the one array it returns, so the
-    only full-size allocation is the result, in the memory order of ``x``
-    (column order for the solver's projections).  Each rounding is compounded
-    by the squarings after it, so the result is within p ulps of
-    ``np.power`` (13 ulps at most measured at p = 19).
+    Multiplies in place into the one array it returns, in the memory order
+    of ``x``.  Each rounding is compounded by the squarings after it, so the
+    result is within p ulps of ``np.power`` (13 at most measured at p = 19).
     """
     out = np.ones_like(x) if p == 0 else x.copy(order="K")
     for bit in bin(p)[3:]:
@@ -132,26 +128,33 @@ def _int_power(x: np.ndarray, p: int) -> np.ndarray:
 def _raw_update(y: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
     """Fixed-point update E[y g(w'y)] - E[g'(w'y)] w of every column of W.
 
-    Powers are taken of the power-of-two rescaled projections (W'Y')', so
-    they cannot overflow, and the scale is reapplied exactly with ``ldexp``.
-    r**(2k-1) is built in place from r**(2k-2) after the damping mean is
-    read off it.  The m x d buffers are locals, freed on return, so no more
-    than two of them are live at once.
+    Per row block, the projections r are scaled in place by each column's
+    power of two, so powers cannot overflow; r**(2k-2) is built in a block
+    temporary for the damping sums and r**(2k-1) written back in place.
+    Block sums add exactly (one block keeps the pairwise mean).
     """
-    r, exp2 = _pow2_scale((w.T @ y.T).T)
-    power = _int_power(r, 2 * k - 2)
+    proj = (w.T @ y.T).T
+    exp2 = _pow2_exponents(proj)
+    sums = []
+    for start in range(0, proj.shape[0], _BLOCK_ROWS):
+        r = proj[start : start + _BLOCK_ROWS]
+        np.ldexp(r, -exp2, out=r)
+        power = _int_power(r, 2 * k - 2)
+        sums.append(np.sum(power, axis=0))
+        np.multiply(power, r, out=r)
+    mean = np.array([math.fsum(column) for column in zip(*sums)]) / y.shape[0]
     # past float64 the scale overflows; fit_ica raises on the non-finite update
     with np.errstate(over="ignore", invalid="ignore"):
-        damp = np.ldexp((2 * k - 1) * np.mean(power, axis=0), exp2 * (2 * k - 2))
-        np.multiply(power, r, out=power)
-        grad = np.ldexp(y.T @ power / y.shape[0], exp2 * (2 * k - 1))
+        damp = np.ldexp((2 * k - 1) * mean, exp2 * (2 * k - 2))
+        # y' proj keeps a one-block panel's bits; (proj' y)' rounds apart in small BLAS kernels
+        grad = np.ldexp(y.T @ proj / y.shape[0], exp2 * (2 * k - 1))
         return grad - w * damp[np.newaxis, :]
 
 
 def _check_white(panel: SamplePanel) -> None:
     data = panel.data
-    cov = data.T @ data / data.shape[0]
-    mean_err = np.abs(data.mean(axis=0)).max()
+    cov = data.T @ data / len(data)
+    mean_err = np.abs(np.ones(len(data)) @ data / len(data)).max()
     cov_err = np.abs(cov - np.eye(data.shape[1])).max()
     if mean_err > 1e-6 or cov_err > 1e-6:
         raise DataError(

@@ -56,17 +56,16 @@ def _check_order(p: int) -> int:
     return p
 
 
-def _pow2_scale(x: np.ndarray):
-    """Split each column of ``x`` into ratios and a power-of-two exponent.
-
-    Returns ``(ratios, exp2)`` with ``x == ldexp(ratios, exp2)`` exactly:
-    ``exp2`` is the ``frexp`` exponent of the column's max-abs value, so
-    every ratio lies in (-1, 1) and a p-th power sums without overflow.
-    An all-zero column gets exponent 0.  A 1-d ``x`` is one column.
-    """
-    col_inf = np.abs(x).max(axis=0)
+def _pow2_exponents(x: np.ndarray) -> np.ndarray:
+    """Each column's max-abs ``frexp`` exponent (0 if all zero; 1-d ``x`` is one column)."""
+    col_inf = np.maximum(x.max(axis=0), -x.min(axis=0))
     _, exp2 = np.frexp(col_inf)
-    exp2 = np.where(col_inf > 0.0, exp2, 0)
+    return np.where(col_inf > 0.0, exp2, 0)
+
+
+def _pow2_scale(x: np.ndarray):
+    """Per-column ratios in (-1, 1) and exponents, ``x == ldexp(ratios, exp2)`` exactly."""
+    exp2 = _pow2_exponents(x)
     return np.ldexp(x, -exp2), exp2
 
 

@@ -171,10 +171,11 @@ def whitening_from_csv(text: str) -> WhiteningTransform:
         if key in ("columns", "mean", "eigenvalues"):
             fields[key] = line.split(",")[1:]
         elif key == "projection":
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError("malformed projection header")
-            fields["shape"] = (int(parts[1]), int(parts[2]))
+            try:
+                _, d, n = line.split(",")
+                fields["shape"] = (int(d), int(n))
+            except ValueError:
+                raise DataError(f"malformed projection header {line!r}") from None
             row_idx = i + 1
             break
         else:

@@ -210,6 +210,17 @@ def test_undecodable_transform_matrix_is_a_data_error(tmp_path, market_csv, caps
         assert not out.exists()
 
 
+def test_malformed_whitening_header_is_a_data_error(tmp_path, market_csv, capsys):
+    text = whitening_to_csv(fit_whitening(read_wide_csv(market_csv), 3))
+    whitening = tmp_path / "whitening.csv"
+    whitening.write_text(text.replace("projection,3,8", "projection,three,8"))
+    out = tmp_path / "o.csv"
+    argv = ["transform", "--input", str(market_csv), "--whitening", str(whitening), "--out", str(out)]
+    assert main(argv) == 2
+    assert "tailica: data error: malformed projection header" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_undecodable_config_file_is_a_usage_error_that_names_it(tmp_path, market_csv, capsys):
     config = tmp_path / "run.conf"
     config.write_bytes(b"d=4\xff\n")

@@ -332,12 +332,12 @@ def test_fit_with_repeated_squaring_matches_np_power(monkeypatch):
         assert np.abs(fast[k].w - ref.w).max() < 1e-9, k
 
 
-def test_fit_keeps_at_most_two_full_size_buffers():
-    # Besides its input the solver holds two m x d arrays at once: the
-    # projections and one power (or, while scaling, the projections and their
-    # absolute values).  A buffer kept across iterations shows as a third,
-    # an np.power temporary next to a power as well.  Half an array covers
-    # the d x d and length-d temporaries.
+def test_fit_keeps_one_full_size_buffer():
+    # Besides its input the solver holds one m x d array, the projections,
+    # which it scales, powers and multiplies in place a row block at a time.
+    # A second full-size buffer (a power, an np.abs or np.power temporary, or
+    # one kept across iterations) shows as 2x; half an array covers the
+    # block-sized, d x d and length-d temporaries.
     rng = np.random.default_rng(91)
     z, _ = whitened(rng.laplace(size=(150_000, 4)))
     array_bytes = z.data.nbytes
@@ -348,7 +348,7 @@ def test_fit_keeps_at_most_two_full_size_buffers():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * array_bytes, (k, peak / array_bytes)
+        assert peak < 1.5 * array_bytes, (k, peak / array_bytes)
 
 
 def test_high_order_fit_stays_orthonormal_on_an_ill_conditioned_update():
@@ -487,14 +487,17 @@ def test_int_power_keeps_column_order():
         assert np.array_equal(got, ica_module._int_power(x, p)), p
 
 
-def test_update_builds_no_row_ordered_full_size_array(tall_white, monkeypatch):
-    # Every m x d array that numpy returns inside the update, powers and
-    # products included, keeps the column order of the projections.
+def test_update_allocates_only_column_ordered_blocks(tall_white, monkeypatch):
+    # Every array of rows that numpy allocates inside the update (more rows
+    # than its d columns, so the d x d gradient is left out) is in column
+    # order, and none is full size.  A result that is a view, a block of the
+    # projections written in place through out=, is not a new array.  The spy
+    # wraps functions only, so the update sums with np.sum, not np.add.reduce.
     y = tall_white.data
-    layouts = []
+    allocated = []
 
     class LayoutSpy:
-        """numpy as the solver sees it, noting the layout of each m x d result."""
+        """numpy as the solver sees it, noting each new array of rows."""
 
         def __getattr__(self, name):
             func = getattr(np, name)
@@ -503,14 +506,41 @@ def test_update_builds_no_row_ordered_full_size_array(tall_white, monkeypatch):
 
             def call(*args, **kwargs):
                 out = func(*args, **kwargs)
-                if isinstance(out, np.ndarray) and out.shape == y.shape:
-                    layouts.append((name, out.flags.f_contiguous))
+                if isinstance(out, np.ndarray) and out.ndim == 2 and out.base is None:
+                    if out.shape[1] == y.shape[1] < out.shape[0]:
+                        allocated.append((name, out.shape, out.flags.f_contiguous))
                 return out
 
             return call
 
     monkeypatch.setattr(ica_module, "np", LayoutSpy())
     w, _ = np.linalg.qr(np.random.default_rng(97).standard_normal((4, 4)))
-    for k in (2, 10):
+    for k in (1, 2, 10):
         ica_module._raw_update(y, w, k)
-    assert layouts and all(f for _, f in layouts), layouts
+    assert allocated, allocated
+    assert all(f for _, _, f in allocated), allocated
+    assert all(shape[0] != y.shape[0] for _, shape, _ in allocated), allocated
+
+
+def _unblocked_update(y, w, k):
+    """The update as one chain over all rows: two m x d buffers, a pairwise mean."""
+    r, exp2 = _pow2_scale((w.T @ y.T).T)
+    power = ica_module._int_power(r, 2 * k - 2)
+    # past float64 the scale overflows; fit_ica raises on the non-finite update
+    with np.errstate(over="ignore", invalid="ignore"):
+        damp = np.ldexp((2 * k - 1) * np.mean(power, axis=0), exp2 * (2 * k - 2))
+        np.multiply(power, r, out=power)
+        grad = np.ldexp(y.T @ power / y.shape[0], exp2 * (2 * k - 1))
+        return grad - w * damp[np.newaxis, :]
+
+
+def test_single_block_update_matches_the_unblocked_formula(default_white):
+    # Up to one block of rows every call is the unblocked one on the same
+    # layout, and the exact sum of one block sum is that sum, so no bit moves.
+    rng = np.random.default_rng(98)
+    one_block = whitened(rng.laplace(size=(ica_module._BLOCK_ROWS, 4)))[0]
+    for z, ks in ((default_white, (1, 2, 3, 10, 60, 116)), (one_block, (1, 2, 10))):
+        for k in ks:
+            w, _ = np.linalg.qr(rng.standard_normal((z.n, z.n)))
+            got = ica_module._raw_update(z.data, w, k)
+            assert np.array_equal(got, _unblocked_update(z.data, w, k)), (z.m, k)

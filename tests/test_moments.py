@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tailica.errors import DataError, TieWarning
-from tailica.moments import extremes, log_moment, moment, root_moment
+from tailica.moments import _pow2_scale, extremes, log_moment, moment, root_moment
 
 
 # Frozen reference values.  Each constant was computed through a route
@@ -201,3 +201,24 @@ def test_warnings_do_not_fire_without_tie():
         warnings.simplefilter("error")
         root_moment([1.0, -2.0, 0.5], 99)
         root_moment([3.0, 1.0], 7)
+
+
+def test_pow2_scale_matches_the_abs_max_form():
+    # max(x.max(0), -x.min(0)) is the max-abs value, so exponents and ratios
+    # are the bits of the np.abs(x).max(axis=0) form.
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-1.0, 1.0, size=(300, 4)) * np.array([1.0, 7.5, 3e-310, 1e200])
+    x[:, 0] = -0.0  # a zero column, signed zeros included
+    x[::2, 0] = 0.0
+    x[:, 1] = -np.abs(x[:, 1])  # negative-dominated
+    x[7, 1] = 0.5
+    x[:5, 3] = [5e-324, -5e-324, 1e-310, -2.2e-308, 0.0]  # subnormal entries
+    for sample in (x, x[:, 1], x[:, 2], np.asfortranarray(x)):
+        col_inf = np.abs(sample).max(axis=0)
+        _, want_exp2 = np.frexp(col_inf)
+        want_exp2 = np.where(col_inf > 0.0, want_exp2, 0)
+        want = np.ldexp(sample, -want_exp2)
+        ratios, exp2 = _pow2_scale(sample)
+        assert np.array_equal(exp2, want_exp2)
+        assert np.array_equal(ratios, want)
+        assert np.array_equal(np.signbit(ratios), np.signbit(want))

@@ -164,6 +164,14 @@ def test_csv_rejects_tampered_input():
         whitening_from_csv(missing)
 
 
+@pytest.mark.parametrize("header", ["projection,three,5", "projection,2", "projection,2,6,1"])
+def test_malformed_projection_header_is_a_data_error(header):
+    text = whitening_to_csv(fit_whitening(correlated_panel(seed=72), d=2))
+    tampered = text.replace("projection,2,6", header)
+    with pytest.raises(DataError, match=f"malformed projection header '{header}'"):
+        whitening_from_csv(tampered)
+
+
 def test_transform_validation():
     mean = np.zeros(3)
     proj = np.ones((2, 3))

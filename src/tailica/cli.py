@@ -32,7 +32,7 @@ from .evaluate import (
 )
 from .ica import transform as unmix_transform
 from .ica import unmixing_from_csv, unmixing_to_csv
-from .panel import SamplePanel, _open_text, center, ingest_csv, read_wide_csv, write_wide_csv
+from .panel import SamplePanel, _csv_text, _open_text, center, ingest_csv, read_wide_csv, write_wide_csv
 from .tailcov import tail_covariance, tail_covariance_to_csv
 from .whiten import apply_whitening, whitening_from_csv, whitening_to_csv
 
@@ -279,13 +279,11 @@ def _cmd_transform(params: dict) -> SamplePanel:
 def _cmd_entropy(params: dict) -> str:
     panel = _load_panel(params)
     config = EntropyEstimatorConfig(params["method"], params["window"])
-    lines = ["symbol,entropy,method,window_n,m"]
+    rows = [("symbol", "entropy", "method", "window_n", "m")]
     for j, cid in enumerate(panel.column_ids):
         estimate = estimate_entropy(panel.data[:, j], config)
-        lines.append(
-            f"{cid},{estimate.value!r},{estimate.method},{estimate.window_n},{estimate.m}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append((cid, estimate.value, estimate.method, estimate.window_n, estimate.m))
+    return _csv_text(rows)
 
 
 def _cmd_tailcov(params: dict) -> str:

@@ -23,7 +23,7 @@ from .entropy import EntropyEstimatorConfig, estimate_entropy
 from .errors import DataError, DroppedDataWarning
 from .ica import ContrastSpec, UnmixingMatrix, fit_ica, kkt_residual, transform
 from .moments import moment, root_moment
-from .panel import BucketSplit, SamplePanel, _check_date, split_buckets
+from .panel import BucketSplit, SamplePanel, _check_date, _csv_text, split_buckets
 from .whiten import WhiteningTransform, apply_whitening, fit_whitening
 
 __all__ = [
@@ -179,6 +179,7 @@ def generate_market(spec: SyntheticMarketSpec) -> SamplePanel:
     )
     factor = np.where(crash_days, factor * spec.crash_scale, factor)
     data = vols * (betas * factor[:, np.newaxis] + np.sqrt(1.0 - betas**2) * idio)
+    data.flags.writeable = False
     start = datetime.date.fromisoformat(spec.start_date)
     dates = tuple((start + datetime.timedelta(days=i)).isoformat() for i in range(m))
     ids = tuple(f"S{i + 1:04d}" for i in range(n))
@@ -386,16 +387,10 @@ def report_to_dict(report: TailReport) -> dict:
 
 
 def histogram_to_csv(edges, counts) -> str:
-    lines = ["bin_left,bin_right,count"]
-    edge_list = np.asarray(edges).tolist()
-    count_list = np.asarray(counts).tolist()
-    for i, count in enumerate(count_list):
-        lines.append(f"{edge_list[i]!r},{edge_list[i + 1]!r},{int(count)}")
-    return "\n".join(lines) + "\n"
+    edges, counts = np.asarray(edges).tolist(), np.asarray(counts).tolist()
+    return _csv_text([("bin_left", "bin_right", "count"), *zip(edges, edges[1:], map(int, counts))])
 
 
 def scatter_to_csv(records) -> str:
-    lines = ["symbol,root_moment_10,entropy"]
-    for rec in records:
-        lines.append(f"{rec.column_id},{rec.root_moment_10!r},{rec.entropy!r}")
-    return "\n".join(lines) + "\n"
+    header = [("symbol", "root_moment_10", "entropy")]
+    return _csv_text(header + [(r.column_id, r.root_moment_10, r.entropy) for r in records])

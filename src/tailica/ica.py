@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .moments import _pow2_exponents
-from .panel import SamplePanel
+from .panel import SamplePanel, _csv_text
 from .tailcov import tail_covariance
 from .whiten import _fix_signs
 
@@ -238,7 +238,9 @@ def transform(W: UnmixingMatrix, white_panel: SamplePanel) -> SamplePanel:
     if white_panel.n != W.d:
         raise DataError(f"panel has {white_panel.n} columns, unmixing expects {W.d}")
     ids = tuple(f"ic_{i + 1:04d}" for i in range(W.d))
-    return SamplePanel(white_panel.data @ W.w, ids, white_panel.row_ids)
+    data = white_panel.data @ W.w
+    data.flags.writeable = False
+    return SamplePanel(data, ids, white_panel.row_ids)
 
 
 def kkt_residual(white_panel: SamplePanel, W: UnmixingMatrix, k: int) -> KktResidual:
@@ -291,10 +293,7 @@ def unmixing_to_csv(W: UnmixingMatrix) -> str:
         f"tailica-W v1, k={W.k}, seed={W.seed}, "
         f"converged={'true' if W.converged else 'false'}, iterations={W.iterations}"
     )
-    lines = [header]
-    for row in W.w:
-        lines.append(",".join(repr(v) for v in row.tolist()))
-    return "\n".join(lines) + "\n"
+    return header + "\n" + _csv_text(W.w.tolist())
 
 
 def unmixing_from_csv(text: str) -> UnmixingMatrix:

@@ -113,6 +113,15 @@ def _check_rows(rows: tuple) -> _RowIndex:
     return _RowIndex(rows)
 
 
+def _is_frozen(data) -> bool:
+    """Whether a panel may keep ``data`` as it is (see ``SamplePanel``)."""
+    if type(data) is not np.ndarray or data.dtype != np.float64 or not data.flags.c_contiguous:
+        return False
+    while isinstance(data, np.ndarray) and not data.flags.writeable:
+        data = data.base
+    return data is None
+
+
 @dataclass(frozen=True)
 class SamplePanel:
     """Immutable (m, n) observation matrix with dated rows and named columns.
@@ -124,6 +133,12 @@ class SamplePanel:
     Any other row index is checked in one array pass, not date by date: rows
     joined by newlines (through ``str`` unless all are plain ``str``) are read
     as one 10-character date per line when every 11th byte is a newline.
+
+    ``data`` is kept as it is if it is a read-only float64 C-ordered ndarray
+    whose ``.base`` chain holds no writeable array and ends in an ndarray,
+    not a foreign buffer; anything else is copied, so a writeable array, or
+    a read-only view of one, is never aliased.  A ``split_buckets`` bucket
+    is a view that keeps its parent's whole buffer alive.
     """
 
     data: np.ndarray
@@ -131,7 +146,10 @@ class SamplePanel:
     row_ids: tuple
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64, order="C")
+        data = self.data
+        if not _is_frozen(data):
+            data = np.array(data, dtype=np.float64, order="C")
+            data.flags.writeable = False
         if data.ndim != 2:
             raise DataError(f"panel data must be 2-d, got shape {data.shape}")
         m, n = data.shape
@@ -156,7 +174,6 @@ class SamplePanel:
             raise DataError("duplicate column ids")
         if not trusted:
             rows = _check_rows(rows)
-        data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "column_ids", columns)
         object.__setattr__(self, "row_ids", rows)
@@ -210,7 +227,9 @@ def split_buckets(panel: SamplePanel, boundary_date: str) -> BucketSplit:
 
 def center(panel: SamplePanel) -> SamplePanel:
     """Subtract each column's mean."""
-    return panel.with_data(panel.data - panel.data.mean(axis=0))
+    data = panel.data - panel.data.mean(axis=0)
+    data.flags.writeable = False
+    return panel.with_data(data)
 
 
 @contextlib.contextmanager
@@ -226,6 +245,14 @@ def _open_text(path_or_file, mode="r"):
     finally:
         if owned:
             handle.close()
+
+
+def _csv_text(rows) -> str:
+    """Rows as CSV lines, a field quoted only where csv must quote it; a
+    float is written as its repr."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _sorted_ranks(names: list):
@@ -415,7 +442,8 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
         symbol_list = [sym for sym, ok in zip(symbol_list, complete) if ok]
         if not symbol_list:
             raise DataError("every symbol has missing dates; nothing to ingest")
-        data = data[:, complete]
+        data = data.compress(complete, axis=1)  # C-ordered, unlike data[:, complete]
+    data.flags.writeable = False
     # distinct checked dates, sorted: a valid row index as they stand
     return SamplePanel(data, tuple(symbol_list), _RowIndex(date_list))
 
@@ -453,7 +481,9 @@ def read_wide_csv(path_or_file) -> SamplePanel:
             raise DataError(f"line {lineno + 1}: {exc}") from None
     if not rows:
         raise DataError("no data rows in input")
-    return SamplePanel(np.array(rows), columns, _RowIndex(dates))
+    data = np.array(rows)
+    data.flags.writeable = False
+    return SamplePanel(data, columns, _RowIndex(dates))
 
 
 def write_wide_csv(panel: SamplePanel, path_or_file) -> None:
@@ -464,6 +494,6 @@ def write_wide_csv(panel: SamplePanel, path_or_file) -> None:
     ``YYYY-MM-DD`` and values are finite floats, so no field needs quoting.
     """
     with _open_text(path_or_file, "w") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(("date",) + panel.column_ids)
+        handle.write(_csv_text([("date",) + panel.column_ids]))
         for date, row in zip(panel.row_ids, panel.data):
             handle.write(date + "," + ",".join(map(repr, row.tolist())) + "\n")

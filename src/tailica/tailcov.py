@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .moments import _pow2_scale
-from .panel import SamplePanel
+from .panel import SamplePanel, _csv_text
 
 __all__ = [
     "TailCovarianceMatrix",
@@ -93,7 +93,5 @@ def tail_covariance(
 
 def tail_covariance_to_csv(tc: TailCovarianceMatrix) -> str:
     """Matrix as CSV with an id header row and id-labelled rows."""
-    lines = ["id," + ",".join(tc.component_ids)]
-    for cid, row in zip(tc.component_ids, tc.values):
-        lines.append(cid + "," + ",".join(repr(v) for v in row.tolist()))
-    return "\n".join(lines) + "\n"
+    ids = tc.component_ids
+    return _csv_text([("id", *ids)] + [(cid, *row) for cid, row in zip(ids, tc.values.tolist())])

@@ -9,13 +9,15 @@ coordinate positive) so repeated fits are bitwise identical.
 
 from __future__ import annotations
 
+import csv
+import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ReductionWarning
-from .panel import SamplePanel
+from .panel import SamplePanel, _csv_text
 
 __all__ = [
     "WhiteningTransform",
@@ -144,38 +146,43 @@ def apply_whitening(transform: WhiteningTransform, panel: SamplePanel) -> Sample
             f"panel has {panel.n} columns, transform was fitted on {transform.n}"
         )
     z = (panel.data - transform.mean) @ transform.projection.T
+    z.flags.writeable = False
     ids = tuple(f"pc_{i + 1:04d}" for i in range(transform.d))
     return SamplePanel(z, ids, panel.row_ids)
 
 
 def whitening_to_csv(transform: WhiteningTransform) -> str:
     """Serialize as versioned CSV blocks; floats use repr for exact round-trip."""
-    lines = ["tailica-whiten v1"]
-    lines.append("columns," + ",".join(transform.column_ids))
-    lines.append("mean," + ",".join(repr(v) for v in transform.mean.tolist()))
-    lines.append("eigenvalues," + ",".join(repr(v) for v in transform.eigenvalues.tolist()))
-    lines.append(f"projection,{transform.d},{transform.n}")
-    for row in transform.projection:
-        lines.append(",".join(repr(v) for v in row.tolist()))
-    return "\n".join(lines) + "\n"
+    return _csv_text([
+        ["tailica-whiten v1"],
+        ["columns", *transform.column_ids],
+        ["mean", *transform.mean.tolist()],
+        ["eigenvalues", *transform.eigenvalues.tolist()],
+        ["projection", transform.d, transform.n],
+        *transform.projection.tolist(),
+    ])
 
 
 def whitening_from_csv(text: str) -> WhiteningTransform:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "tailica-whiten v1":
+    try:  # csv records, skipping blank lines
+        records = csv.reader(io.StringIO(text, newline=""))
+        lines = [r for r in records if len(r) > 1 or r and r[0].strip()]
+    except csv.Error as exc:
+        raise DataError(f"bad whitening file: {exc}") from None
+    if not lines or ",".join(lines[0]).strip() != "tailica-whiten v1":
         raise DataError("not a tailica-whiten v1 file")
     fields = {}
     row_idx = None
     for i, line in enumerate(lines[1:], start=1):
-        key = line.split(",", 1)[0]
+        key = line[0]
         if key in ("columns", "mean", "eigenvalues"):
-            fields[key] = line.split(",")[1:]
+            fields[key] = line[1:]
         elif key == "projection":
             try:
-                _, d, n = line.split(",")
+                _, d, n = line
                 fields["shape"] = (int(d), int(n))
             except ValueError:
-                raise DataError(f"malformed projection header {line!r}") from None
+                raise DataError(f"malformed projection header {','.join(line)!r}") from None
             row_idx = i + 1
             break
         else:
@@ -188,7 +195,7 @@ def whitening_from_csv(text: str) -> WhiteningTransform:
     if len(rows) != d:
         raise DataError(f"expected {d} projection rows, found {len(rows)}")
     try:
-        projection = np.array([[float(v) for v in r.split(",")] for r in rows])
+        projection = np.array([[float(v) for v in r] for r in rows])
         mean = np.array([float(v) for v in fields["mean"]])
         eigenvalues = np.array([float(v) for v in fields["eigenvalues"]])
     except ValueError:

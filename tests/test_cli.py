@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import csv
+import io
 import json
 
 import numpy as np
@@ -9,7 +11,7 @@ import tailica.cli as cli
 from tailica.cli import main
 from tailica.errors import NumericalError
 from tailica.ica import unmixing_from_csv
-from tailica.panel import read_wide_csv
+from tailica.panel import SamplePanel, read_wide_csv, write_wide_csv
 from tailica.tailcov import tail_covariance
 from tailica.whiten import fit_whitening, whitening_from_csv, whitening_to_csv
 
@@ -264,6 +266,44 @@ def test_scatter_writes_records(tmp_path, market_csv):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "symbol,root_moment_10,entropy"
     assert len(lines) == 9
+
+
+QUOTED_IDS = ("A,1", 'B"2', "C", "D")  # ids csv must quote, and plain ones
+
+
+@pytest.fixture()
+def quoted_csv(tmp_path):
+    rng = np.random.default_rng(3)
+    dates = [str(np.datetime64("2020-01-01") + i) for i in range(300)]
+    path = tmp_path / "quoted.csv"
+    write_wide_csv(SamplePanel(rng.laplace(size=(300, 4)), QUOTED_IDS, dates), path)
+    return path
+
+
+def test_quoted_column_ids_survive_fit_and_transform(tmp_path, quoted_csv):
+    out = tmp_path / "run"
+    argv = ["fit", "--input", str(quoted_csv), "--boundary", "2020-08-01", "--d", "4", "--k", "2"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert whitening_from_csv((out / "whitening.csv").read_text()).column_ids == QUOTED_IDS
+    trans = tmp_path / "components.csv"
+    argv = ["transform", "--input", str(quoted_csv), "--whitening", str(out / "whitening.csv")]
+    assert main(argv + ["--unmixing", str(out / "W_k2.csv"), "--out", str(trans)]) == 0
+    assert read_wide_csv(trans).m == 300
+    for name in ("scatter_in.csv", "scatter_out.csv"):
+        rows = list(csv.reader(io.StringIO((out / name).read_text())))
+        assert [row[0] for row in rows[1:]] == list(QUOTED_IDS)
+        assert {len(row) for row in rows} == {3}
+
+
+@pytest.mark.parametrize("command", ["scatter", "tailcov", "entropy"])
+def test_quoted_column_ids_keep_their_fields(tmp_path, quoted_csv, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--input", str(quoted_csv), "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert [row[0] for row in rows[1:]] == list(QUOTED_IDS)
+    assert {len(row) for row in rows} == {len(rows[0])}
+    if command == "tailcov":
+        assert tuple(rows[0][1:]) == QUOTED_IDS
 
 
 def test_eval_smoke(tmp_path):

@@ -1,12 +1,14 @@
 """Lint checks written against the standard library alone.
 
-Every imported name in a ``tailica`` module is used, and every name a
-module exports in ``__all__`` exists.
+Every imported name in a ``tailica`` module is used, every name a module
+exports in ``__all__`` exists, and the package imports nothing beyond the
+standard library and numpy.
 """
 
 import ast
 import importlib
 import pathlib
+import sys
 
 import tailica
 
@@ -41,3 +43,19 @@ def test_all_entries_resolve():
         if not hasattr(module, name)
     ]
     assert not missing, "stale __all__ entries: " + ", ".join(missing)
+
+
+def test_runtime_imports_only_the_standard_library_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            top = {name.split(".")[0] for name in names}
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in sorted(top - allowed)]
+    assert not foreign, "imports outside the standard library and numpy: " + ", ".join(foreign)

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import datetime
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,7 @@ import numpy as np
 from .entropy import EntropyEstimatorConfig, estimate_entropy
 from .errors import DataError, DroppedDataWarning
 from .ica import ContrastSpec, UnmixingMatrix, fit_ica, kkt_residual, transform
-from .moments import moment, root_moment
+from .moments import _column_moments, _power_means
 from .panel import BucketSplit, SamplePanel, _check_date, _csv_text, split_buckets
 from .whiten import WhiteningTransform, apply_whitening, fit_whitening
 
@@ -216,11 +214,12 @@ def tail_histogram(values):
 def build_tail_report(components: SamplePanel, k: int, bucket: str) -> TailReport:
     """Tail statistics of a component panel (see :class:`TailReport`)."""
     data = components.data
-    m, d = data.shape
+    order = 2 * int(k)
     quantiles = np.quantile(data, QUANTILE_LEVELS, axis=0)
-    roots = np.array([root_moment(data[:, j], 2 * int(k)) for j in range(d)])
-    m2 = np.array([moment(data[:, j], 2) for j in range(d)])
-    m4 = np.array([moment(data[:, j], 4) for j in range(d)])
+    sums = {p: _power_means(data, p) for p in {2, 4, order}}  # one order-4 sum at k=2
+    roots = np.array(_column_moments(data, order, sums[order], root=True))
+    m2 = np.array(_column_moments(data, 2, sums[2]))
+    m4 = np.array(_column_moments(data, 4, sums[4]))
     if np.any(m2 == 0.0):
         raise DataError("constant component column; kurtosis undefined")
     kurtosis = m4 / m2**2 - 3.0
@@ -233,7 +232,7 @@ def build_tail_report(components: SamplePanel, k: int, bucket: str) -> TailRepor
         k=int(k),
         bucket=str(bucket),
         component_ids=components.column_ids,
-        m=m,
+        m=data.shape[0],
         quantiles=quantiles,
         root_moments=roots,
         excess_kurtosis=kurtosis,
@@ -257,19 +256,22 @@ def scatter_moment_entropy(
     warning.
     """
     config = entropy_config or EntropyEstimatorConfig()
+    centered = np.array(panel.data, order="F")  # each column averages as a 1-d sample
+    centered -= centered.mean(axis=0)
+    constant = (~centered.any(axis=0)).tolist()
+    roots = _column_moments(centered, 10, root=True)
+    del centered
     records = []
     skipped = []
     for j, cid in enumerate(panel.column_ids):
-        col = panel.data[:, j]
-        centered = col - col.mean()
-        if np.abs(centered).max() == 0.0:
+        if constant[j]:
             skipped.append(cid)
             continue
         records.append(
             ScatterRecord(
                 column_id=cid,
-                root_moment_10=root_moment(centered, 10),
-                entropy=estimate_entropy(col, config).value,
+                root_moment_10=roots[j],
+                entropy=estimate_entropy(panel.data[:, j], config).value,
                 bucket=str(bucket_label),
             )
         )
@@ -296,10 +298,6 @@ class ExperimentArtifacts:
     scatter_out: list
 
 
-def _worker_count(n_tasks: int) -> int:
-    return max(1, min(n_tasks, os.cpu_count() or 1))
-
-
 def run_experiment_artifacts(
     panel: SamplePanel,
     boundary: str,
@@ -314,9 +312,10 @@ def run_experiment_artifacts(
 ) -> ExperimentArtifacts:
     """Calibrate on the in-sample bucket; report and diagnose both buckets.
 
-    Contrast orders are fitted independently, one thread each up to the
-    core count, and merged in ``k_list`` order, so the artifacts are
-    identical however the work is scheduled.
+    Contrast orders are fitted one after another on the calling thread, in
+    ``k_list`` order; each fit's component panels are dropped once its
+    reports are taken.  The call starts no thread, so the BLAS library's
+    own threads are its only parallelism.
     """
     k_list = [int(k) for k in k_list]
     if not k_list:
@@ -332,31 +331,18 @@ def run_experiment_artifacts(
     identity = UnmixingMatrix(
         w=np.eye(whitening.d), k=1, seed=int(seed), iterations=0, converged=True
     )
-
-    def fit_one(contrast: ContrastSpec):
-        k = contrast.k
-        unmixing = fit_ica(z_in, contrast, seed=seed, tol=tol, max_iter=max_iter)
-        u_in = transform(unmixing, z_in)
-        u_out = transform(unmixing, z_out)
-        return (
-            unmixing,
-            build_tail_report(u_in, k, "in"),
-            build_tail_report(u_out, k, "out"),
-            kkt_residual(z_in, unmixing, k),
-            kkt_residual(z_in, identity, k),
-        )
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(k_list))) as pool:
-        results = list(pool.map(fit_one, contrasts))
     unmixings = {}
     reports = []
     kkt = {}
     identity_kkt = {}
-    for k, (unmixing, report_in, report_out, res, res_id) in zip(k_list, results):
+    for contrast in contrasts:
+        k = contrast.k
+        unmixing = fit_ica(z_in, contrast, seed=seed, tol=tol, max_iter=max_iter)
         unmixings[k] = unmixing
-        reports.extend([report_in, report_out])
-        kkt[k] = res
-        identity_kkt[k] = res_id
+        reports.append(build_tail_report(transform(unmixing, z_in), k, "in"))
+        reports.append(build_tail_report(transform(unmixing, z_out), k, "out"))
+        kkt[k] = kkt_residual(z_in, unmixing, k)
+        identity_kkt[k] = kkt_residual(z_in, identity, k)
     return ExperimentArtifacts(
         split=split,
         whitening=whitening,

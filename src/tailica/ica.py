@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .moments import _pow2_exponents
-from .panel import SamplePanel, _csv_text
+from .panel import SamplePanel, _csv_text, _frozen
 from .tailcov import tail_covariance
 from .whiten import _fix_signs
 
@@ -85,7 +85,7 @@ class UnmixingMatrix:
     converged: bool
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
+        w = _frozen(self.w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise DataError(f"unmixing matrix must be square, got {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -93,8 +93,6 @@ class UnmixingMatrix:
         gram_err = _orthonormality_error(w)
         if gram_err > 1e-8:
             raise DataError(f"unmixing columns not orthonormal (max |W'W - I| = {gram_err:.3e})")
-        w = w.copy()
-        w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
     @property

@@ -77,6 +77,56 @@ def extremes(sample) -> SampleExtremes:
     return SampleExtremes(x_max=x_max, x_min=x_min, x_inf=max(x_max, -x_min))
 
 
+def _power_means(x: np.ndarray, p: int):
+    """Each column's mean of ``ldexp(x, -exp2) ** p``, and ``exp2``: the order-p
+    moment is ``ldexp(mean, exp2 * p)``.  The ratios are powered in place in
+    one F-ordered array, the call's one temporary the size of ``x``, so each
+    column is summed bit for bit as a contiguous 1-d sample would be."""
+    exp2 = _pow2_exponents(x)
+    ratios = np.empty(x.shape, order="F")
+    np.ldexp(x, -exp2, out=ratios)
+    ratios **= p
+    return ratios.mean(axis=0), exp2
+
+
+def _column_moments(x: np.ndarray, p: int, sums=None, root: bool = False) -> list:
+    """Each column's order-p moment of a 2-d ``x``, or with ``root`` its signed
+    root (see :func:`moment` and :func:`root_moment`); ``sums`` is
+    ``_power_means(x, p)`` where the caller has it, unused for a tied column."""
+    if root and p % 2 == 1:
+        x_max = x.max(axis=0)
+        tied = (x_max == -x.min(axis=0)) & (x_max > 0.0)
+        if tied.any():
+            message = "max and min sample values are exact opposites; odd-order root moment"
+            message += " is ambiguous, returning the even-style absolute root"
+            warnings.warn(message, TieWarning, stacklevel=3)
+            x, sums = np.where(tied, np.abs(x), x), None
+    means, exp2 = _power_means(x, p) if sums is None else sums
+    columns = enumerate(zip(means.tolist(), exp2.tolist()))
+    return [_finish(s, e, x[:, j], p, root) for j, (s, e) in columns]
+
+
+def _finish(s: float, e: int, column: np.ndarray, p: int, root: bool) -> float:
+    """A column's moment, or its root, from its ``_power_means`` entry."""
+    if s == 0.0:
+        # Every rescaled term underflowed, or the column is zero: normalize
+        # by x_inf so that the dominant ratio is exactly +-1.
+        x_inf = float(np.abs(column).max())
+        s = float(np.mean((column / x_inf) ** p)) if x_inf else 0.0
+        if s == 0.0:
+            return 0.0
+        if root:
+            return math.copysign(x_inf * abs(s) ** (1.0 / p), s)
+        log_m = math.log(abs(s)) + p * math.log(x_inf)  # the moment, in the log domain
+        return math.copysign(math.exp(log_m) if log_m <= _LOG_FLOAT_MAX else math.inf, s)
+    if root:
+        return math.copysign(math.ldexp(abs(s) ** (1.0 / p), e), s)
+    try:
+        return math.ldexp(s, e * p)
+    except OverflowError:  # the true value exceeds the float64 range
+        return math.copysign(math.inf, s)
+
+
 def moment(sample, p: int) -> float:
     """Sample moment of order ``p``: mean of the p-th powers.
 
@@ -84,28 +134,7 @@ def moment(sample, p: int) -> float:
     exceeds the float64 range (use :func:`log_moment` in that regime).
     """
     x = _as_sample(sample)
-    p = _check_order(p)
-    ratios, e = _pow2_scale(x)
-    s = float(np.mean(ratios**p))
-    if s == 0.0:
-        x_inf = float(np.abs(x).max())
-        if x_inf == 0.0:
-            return 0.0
-        # All rescaled terms underflowed; recompute in the log domain off
-        # the x_inf-normalized form, whose dominant term is exactly one.
-        r = x / x_inf
-        s2 = float(np.mean(r**p))
-        if s2 == 0.0:
-            return 0.0
-        log_m = math.log(abs(s2)) + p * math.log(x_inf)
-        if log_m > _LOG_FLOAT_MAX:
-            return math.copysign(math.inf, s2)
-        return float(np.sign(s2)) * math.exp(log_m)
-    try:
-        return math.ldexp(s, int(e) * p)
-    except OverflowError:
-        # true value exceeds the float64 range; saturate with the sign
-        return math.copysign(math.inf, s)
+    return _column_moments(x[:, np.newaxis], _check_order(p))[0]
 
 
 def root_moment(sample, p: int) -> float:
@@ -118,28 +147,7 @@ def root_moment(sample, p: int) -> float:
     returned instead and a :class:`TieWarning` is emitted.
     """
     x = _as_sample(sample)
-    p = _check_order(p)
-    ext = extremes(x)
-    if ext.x_inf == 0.0:
-        return 0.0
-    if p % 2 == 1 and ext.x_max == -ext.x_min:
-        warnings.warn(
-            "max and min sample values are exact opposites; odd-order root "
-            "moment is ambiguous, returning the even-style absolute root",
-            TieWarning,
-            stacklevel=2,
-        )
-        x = np.abs(x)
-    ratios, e = _pow2_scale(x)
-    s = float(np.mean(ratios**p))
-    if s == 0.0:
-        # Rescued path for extreme orders: normalize by x_inf so the
-        # dominant ratio is exactly +-1 and the mean cannot underflow.
-        s = float(np.mean((x / ext.x_inf) ** p))
-        if s == 0.0:
-            return 0.0
-        return float(np.sign(s)) * ext.x_inf * abs(s) ** (1.0 / p)
-    return float(np.sign(s)) * math.ldexp(abs(s) ** (1.0 / p), int(e))
+    return _column_moments(x[:, np.newaxis], _check_order(p), root=True)[0]
 
 
 def log_moment(sample, k: int) -> float:

@@ -113,13 +113,23 @@ def _check_rows(rows: tuple) -> _RowIndex:
     return _RowIndex(rows)
 
 
-def _is_frozen(data) -> bool:
-    """Whether a panel may keep ``data`` as it is (see ``SamplePanel``)."""
-    if type(data) is not np.ndarray or data.dtype != np.float64 or not data.flags.c_contiguous:
-        return False
-    while isinstance(data, np.ndarray) and not data.flags.writeable:
-        data = data.base
-    return data is None
+def _frozen(data) -> np.ndarray:
+    """``data`` as a read-only float64 C-ordered ndarray that nothing can write.
+
+    Kept as it is if it is one already and its ``.base`` chain holds no
+    writeable array and ends in an ndarray, not a foreign buffer; anything
+    else is copied, so a writeable array, or a read-only view of one, is
+    never aliased and a caller's array is never made read-only.
+    """
+    if type(data) is np.ndarray and data.dtype == np.float64 and data.flags.c_contiguous:
+        base = data
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return data
+    data = np.array(data, dtype=np.float64, order="C")
+    data.flags.writeable = False
+    return data
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,8 @@ class SamplePanel:
     Any other row index is checked in one array pass, not date by date: rows
     joined by newlines (through ``str`` unless all are plain ``str``) are read
     as one 10-character date per line when every 11th byte is a newline.
+    Column ids may not hold a carriage return or a line feed, which no CSV
+    file the package writes can carry.
 
     ``data`` is kept as it is if it is a read-only float64 C-ordered ndarray
     whose ``.base`` chain holds no writeable array and ends in an ndarray,
@@ -146,10 +158,7 @@ class SamplePanel:
     row_ids: tuple
 
     def __post_init__(self):
-        data = self.data
-        if not _is_frozen(data):
-            data = np.array(data, dtype=np.float64, order="C")
-            data.flags.writeable = False
+        data = _frozen(self.data)
         if data.ndim != 2:
             raise DataError(f"panel data must be 2-d, got shape {data.shape}")
         m, n = data.shape
@@ -172,6 +181,8 @@ class SamplePanel:
             raise DataError(f"{len(rows)} row ids for {m} rows")
         if len(set(columns)) != n:
             raise DataError("duplicate column ids")
+        if any("\r" in c or "\n" in c for c in columns):
+            raise DataError("a column id holds a line break")
         if not trusted:
             rows = _check_rows(rows)
         object.__setattr__(self, "data", data)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .moments import _pow2_scale
-from .panel import SamplePanel, _csv_text
+from .moments import _pow2_scale, _power_means
+from .panel import SamplePanel, _csv_text, _frozen
 
 __all__ = [
     "TailCovarianceMatrix",
@@ -33,13 +33,11 @@ class TailCovarianceMatrix:
     component_ids: tuple
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _frozen(self.values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise DataError(f"tail covariance must be square, got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise DataError("tail covariance has non-finite entries")
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "component_ids", tuple(self.component_ids))
 
@@ -50,9 +48,8 @@ class TailCovarianceMatrix:
 
 def _check_centered(data: np.ndarray, column_ids) -> None:
     means = np.abs(data.mean(axis=0))
-    # RMS of the power-of-two ratios, scaled back: exact where data**2 is in range
-    ratios, exp2 = _pow2_scale(data)
-    scales = np.ldexp(np.sqrt((ratios**2).mean(axis=0)), exp2)
+    squares, exp2 = _power_means(data, 2)  # RMS scaled back: exact where data**2 is in range
+    scales = np.ldexp(np.sqrt(squares), exp2)
     bad = means > 1e-8 * np.maximum(scales, 1e-300)
     if np.any(bad):
         j = int(np.argmax(bad))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ReductionWarning
-from .panel import SamplePanel, _csv_text
+from .panel import SamplePanel, _csv_text, _frozen
 
 __all__ = [
     "WhiteningTransform",
@@ -38,9 +38,9 @@ class WhiteningTransform:
     column_ids: tuple
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64).ravel()
-        projection = np.asarray(self.projection, dtype=np.float64)
-        eigenvalues = np.asarray(self.eigenvalues, dtype=np.float64).ravel()
+        mean = _frozen(self.mean).ravel()
+        projection = _frozen(self.projection)
+        eigenvalues = _frozen(self.eigenvalues).ravel()
         if projection.ndim != 2:
             raise DataError(f"projection must be 2-d, got shape {projection.shape}")
         d, n = projection.shape
@@ -57,7 +57,6 @@ class WhiteningTransform:
         for arr in (mean, projection, eigenvalues):
             if not np.all(np.isfinite(arr)):
                 raise DataError("whitening transform has non-finite entries")
-            arr.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "eigenvalues", eigenvalues)

@@ -3,6 +3,7 @@
 import dataclasses
 import datetime
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from tailica.evaluate import (
     scatter_to_csv,
     tail_histogram,
 )
+import tailica.evaluate as evaluate_module
 from tailica.ica import ContrastSpec, UnmixingMatrix, fit_ica, kkt_residual, transform
+from tailica.moments import moment, root_moment
 from tailica.panel import SamplePanel, split_buckets
 from tailica.whiten import apply_whitening, fit_whitening
 
@@ -433,3 +436,42 @@ def test_histogram_and_scatter_csv_formats():
     records = [ScatterRecord("S0001", 1.5, 0.25, "in")]
     stext = scatter_to_csv(records)
     assert stext == "symbol,root_moment_10,entropy\nS0001,1.5,0.25\n"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10])
+def test_tail_report_moments_match_the_one_column_functions(k):
+    rng = np.random.default_rng(73)
+    p = panel_from(rng.standard_t(df=3, size=(900, 4)))
+    rep = build_tail_report(p, k, "in")
+    cols = [p.data[:, j] for j in range(p.n)]
+    assert rep.root_moments.tolist() == [root_moment(c, 2 * k) for c in cols]
+    want = [moment(c, 4) / moment(c, 2) ** 2 - 3.0 for c in cols]
+    assert rep.excess_kurtosis.tolist() == want
+
+
+def test_scatter_root_moments_match_the_one_column_function():
+    panel = small_t_market(seed=9)
+    records = scatter_moment_entropy(panel, "in")
+    for j, record in enumerate(records):
+        col = panel.data[:, j]
+        assert record.root_moment_10 == root_moment(col - col.mean(), 10)
+
+
+def test_run_experiment_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("run_experiment_artifacts started a thread")
+
+    counts = []
+
+    def counted_fit(*args, **kwargs):
+        counts.append(threading.active_count())
+        return fit_ica(*args, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(evaluate_module, "fit_ica", counted_fit)
+    panel = small_t_market(seed=10)
+    before = threading.active_count()
+    art = run_experiment_artifacts(panel, panel.row_ids[300], d=4, k_list=[2, 3], max_iter=100)
+    assert set(art.unmixings) == {2, 3}
+    assert counts == [before, before]
+    assert threading.active_count() == before

@@ -2,7 +2,7 @@
 
 Every imported name in a ``tailica`` module is used, every name a module
 exports in ``__all__`` exists, and the package imports nothing beyond the
-standard library and numpy.
+standard library and numpy, and no module that starts threads or processes.
 """
 
 import ast
@@ -59,3 +59,19 @@ def test_runtime_imports_only_the_standard_library_and_numpy():
             top = {name.split(".")[0] for name in names}
             foreign += [f"{path.name}:{node.lineno} {name}" for name in sorted(top - allowed)]
     assert not foreign, "imports outside the standard library and numpy: " + ", ".join(foreign)
+
+
+def test_no_module_imports_a_thread_or_process_pool():
+    # BLAS threads are the package's only parallelism
+    banned = {"threading", "concurrent", "multiprocessing", "_thread"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] in banned]
+    assert not found, "thread or process imports: " + ", ".join(found)

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 
 from tailica.errors import DataError, TieWarning
-from tailica.moments import _pow2_scale, extremes, log_moment, moment, root_moment
+from tailica.moments import (
+    _column_moments,
+    _pow2_scale,
+    _power_means,
+    extremes,
+    log_moment,
+    moment,
+    root_moment,
+)
 
 
 # Frozen reference values.  Each constant was computed through a route
@@ -222,3 +230,58 @@ def test_pow2_scale_matches_the_abs_max_form():
         assert np.array_equal(exp2, want_exp2)
         assert np.array_equal(ratios, want)
         assert np.array_equal(np.signbit(ratios), np.signbit(want))
+
+
+def kernel_columns(m=9000):
+    """Columns for the column kernel: each exercises one branch of the 1-d path."""
+    rng = np.random.default_rng(33)
+    x = np.empty((m, 6))
+    x[:, 0] = 0.0  # all zero
+    x[:, 1] = rng.uniform(-0.5, 0.5, m)  # every ratio at most 1/2: high orders underflow
+    x[0, 1] = 1.0
+    x[:, 2] = rng.standard_t(df=3, size=m)  # max and min exact opposites
+    x[5, 2], x[9, 2] = 40.0, -40.0
+    x[:, 3] = 2.5  # constant, nonzero
+    x[:, 4] = rng.choice([-1.5, 0.25, 0.25, 3.0], size=m)  # tied values
+    x[:, 5] = rng.standard_t(df=4, size=m) * 1e-3
+    return x
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 10, 20, 2000, 2001])
+def test_column_kernel_matches_the_one_column_functions(p):
+    x = kernel_columns()
+    assert _power_means(x[:, 1:2], 2000)[0][0] == 0.0  # the rescue path is taken
+    d = x.shape[1]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        roots = _column_moments(x, p, root=True)
+    assert any(w.category is TieWarning for w in caught) == (p % 2 == 1)
+    moments = _column_moments(x, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TieWarning)
+        want_roots = [root_moment(x[:, j], p) for j in range(d)]
+    assert roots == want_roots
+    assert moments == [moment(x[:, j], p) for j in range(d)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 10, 57])
+def test_power_means_sum_each_column_as_a_contiguous_sample(p):
+    # an F-ordered reduction sums each column pairwise, as np.mean does a
+    # 1-d array, across pairwise blocks (9000 rows) and on C-ordered input
+    x = kernel_columns()
+    means, exp2 = _power_means(x, p)
+    for j in range(x.shape[1]):
+        ratios, e = _pow2_scale(x[:, j])
+        assert exp2[j] == e
+        assert means[j] == np.mean(ratios**p)
+    assert np.array_equal(_power_means(np.asfortranarray(x), p)[0], means)
+
+
+def test_column_kernel_reuses_given_sums_and_retakes_tied_ones():
+    x = kernel_columns(300)
+    for p in (2, 4, 3):
+        sums = _power_means(x, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TieWarning)
+            assert _column_moments(x, p, sums, root=True) == _column_moments(x, p, root=True)
+        assert _column_moments(x, p, sums) == _column_moments(x, p)

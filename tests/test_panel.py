@@ -25,7 +25,8 @@ from tailica.panel import (
     split_buckets,
     write_wide_csv,
 )
-from tailica.whiten import apply_whitening, fit_whitening
+from tailica.tailcov import TailCovarianceMatrix
+from tailica.whiten import WhiteningTransform, apply_whitening, fit_whitening
 
 DATES4 = ("2020-01-01", "2020-01-02", "2020-01-03", "2020-01-06")
 
@@ -888,3 +889,37 @@ def test_read_wide_csv_checks_each_date_once(monkeypatch):
     q = read_wide_csv(io.StringIO(buf.getvalue()))
     assert q.row_ids == p.row_ids
     assert len(calls) == 200
+
+
+@pytest.mark.parametrize("ids", [("a\rb", "c"), ("a", "b\n"), ("\r\n", "c")])
+def test_panel_rejects_line_breaks_in_column_ids(ids):
+    with pytest.raises(DataError, match="line break"):
+        SamplePanel(np.ones((3, 2)), ids, ("2020-01-01", "2020-01-02", "2020-01-03"))
+
+
+def test_wide_csv_round_trip_keeps_quoted_column_ids(tmp_path):
+    ids = ("A,1", 'B"2', '"C"', "D")
+    p = make_panel(np.arange(16.0).reshape(4, 4), columns=ids)
+    path = tmp_path / "panel.csv"
+    write_wide_csv(p, path)
+    q = read_wide_csv(path)
+    assert q.column_ids == ids
+    assert np.array_equal(q.data, p.data)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda a: SamplePanel(a, ("a", "b"), ("2020-01-01", "2020-01-02")), "data"),
+        (lambda a: WhiteningTransform(np.zeros(2), a, np.array([2.0, 1.0]), ("a", "b")), "projection"),
+        (lambda a: UnmixingMatrix(a, k=2, seed=0, iterations=0, converged=True), "w"),
+        (lambda a: TailCovarianceMatrix(2, a, ("a", "b")), "values"),
+    ],
+)
+def test_one_ownership_rule_for_every_array_holder(build, field):
+    writeable = np.eye(2)
+    held = getattr(build(writeable), field)
+    assert held is not writeable and writeable.flags.writeable and not held.flags.writeable
+    frozen = np.eye(2)
+    frozen.flags.writeable = False
+    assert getattr(build(frozen), field) is frozen

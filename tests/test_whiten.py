@@ -185,3 +185,16 @@ def test_transform_validation():
         WhiteningTransform(mean, proj, good_evals, ("a", "b"))
     with pytest.raises(DataError):
         WhiteningTransform(np.zeros(2), proj, good_evals, ("a", "b", "c"))
+
+
+def test_transform_neither_freezes_nor_aliases_a_callers_arrays():
+    p = np.eye(2)
+    t = WhiteningTransform(np.zeros(2), p, np.array([2.0, 1.0]), ("a", "b"))
+    assert p.flags.writeable
+    assert not t.projection.flags.writeable
+    base = np.eye(3)
+    t = WhiteningTransform(np.zeros(3), base[:2], np.array([2.0, 1.0]), ("a", "b", "c"))
+    base[0, 0] = 7.0
+    assert t.projection[0, 0] == 1.0
+    assert not any(a.flags.writeable for a in (t.mean, t.projection, t.eigenvalues))
+

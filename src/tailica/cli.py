@@ -114,7 +114,7 @@ _SOLVER_OPTS = [
     Opt("--seed", int, 0, "random seed for the solver initialization"),
     Opt("--tol", float, 1e-8, "solver convergence tolerance"),
     Opt("--max-iter", int, 1000, "solver iteration cap"),
-    Opt("--eig-floor", float, 1e-10, "relative eigenvalue floor for whitening"),
+    Opt("--eig-floor", float, 1e-10, "whitening eigenvalue floor relative to the largest, in (0, 1]"),
     Opt("--standardize", _parse_bool, False, "scale columns to unit variance before PCA"),
     Opt("--entropy-method", str, "correa", "entropy estimator: vasicek, ebrahimi or correa"),
     Opt("--entropy-window", _parse_window, None, "spacing window; 'auto' means floor(sqrt(m))"),
@@ -136,7 +136,7 @@ _OUT_DIR = Opt("--out", str, None, "output directory", required=True)
 def _load_config(path: str) -> dict:
     values = {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -179,26 +179,25 @@ def _write_file(path: str, content) -> None:
     if isinstance(content, SamplePanel):
         write_wide_csv(content, path)
         return
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(content)
 
 
-def _load_panel(params: dict):
-    path, layout, fill_missing = params["input"], params["format"], params["fill_missing"]
-    if layout not in ("auto", "long", "wide"):
-        raise UsageError(f"--format must be auto, long or wide, got {layout!r}")
+def _load_panel(params: dict) -> SamplePanel:
+    path, layout = params["input"], params["format"]
+    if layout == "auto":
+        try:  # the header as csv.reader splits it, which is how both readers see it
+            with open(path, newline="", encoding="utf-8-sig") as handle:
+                header = next(csv.reader(handle), [])
+        except (UnicodeDecodeError, csv.Error):
+            header = []  # read_wide_csv reports the fault as a DataError
+        is_long = [cell.strip().lower() for cell in header] == ["date", "symbol", "return"]
+        layout = "long" if is_long else "wide"
     if layout == "long":
-        return ingest_csv(path, fill_missing)
+        return ingest_csv(path, params["fill_missing"])
     if layout == "wide":
         return read_wide_csv(path)
-    try:  # the header as csv.reader splits it, which is how both readers see it
-        with open(path, newline="") as handle:
-            header = next(csv.reader(handle), [])
-    except (UnicodeDecodeError, csv.Error):
-        header = []  # read_wide_csv reports the fault as a DataError
-    if [cell.strip().lower() for cell in header] == ["date", "symbol", "return"]:
-        return ingest_csv(path, fill_missing)
-    return read_wide_csv(path)
+    raise UsageError(f"--format must be auto, long or wide, got {layout!r}")
 
 
 def _market_spec(params: dict, seed_key: str) -> SyntheticMarketSpec:
@@ -252,10 +251,6 @@ def _run_pipeline(panel, params: dict) -> dict:
     return files
 
 
-def _cmd_ingest(params: dict) -> SamplePanel:
-    return _load_panel(params)
-
-
 def _cmd_synth(params: dict) -> SamplePanel:
     return generate_market(_market_spec(params, "seed"))
 
@@ -296,7 +291,7 @@ def _cmd_tailcov(params: dict) -> str:
 
 def _cmd_scatter(params: dict) -> str:
     config = EntropyEstimatorConfig(params["method"], params["window"])
-    return scatter_to_csv(scatter_moment_entropy(_load_panel(params), params["bucket_label"], config))
+    return scatter_to_csv(scatter_moment_entropy(_load_panel(params), "all", config))
 
 
 def _cmd_eval(params: dict) -> dict:
@@ -323,7 +318,7 @@ class Command:
 _COMMANDS = {
     "ingest": Command(
         "read a long- or wide-format CSV and write a clean wide panel",
-        _cmd_ingest,
+        _load_panel,
         [*_INPUT_OPTS, _OUT_CSV],
     ),
     "synth": Command(
@@ -373,7 +368,6 @@ _COMMANDS = {
         _cmd_scatter,
         [
             *_INPUT_OPTS,
-            Opt("--bucket-label", str, "all", "label stored with each record"),
             _METHOD,
             _WINDOW,
             Opt("--out", str, None, "output CSV path", required=True),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, TieWarning
-from .moments import log_moment
+from .moments import _as_sample, log_moment
 from .panel import SamplePanel
 
 __all__ = [
@@ -70,18 +70,22 @@ def default_window(m: int) -> int:
     return int(math.isqrt(int(m)))
 
 
-def _prepare(sample, n) -> tuple:
-    x = np.asarray(sample, dtype=np.float64).ravel()
-    if x.size < 3:
-        raise DataError(f"entropy estimation needs at least 3 observations, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("sample contains non-finite entries")
-    m = x.size
+def _window(m: int, n) -> int:
+    """The spacing window for m observations: ``n``, or floor(sqrt(m)) if None."""
     n = default_window(m) if n is None else int(n)
     if n < 1:
         raise ValueError(f"window must be >= 1, got {n}")
     if m < 2 * n + 1:
         raise ValueError(f"window {n} needs at least {2 * n + 1} observations, got {m}")
+    return n
+
+
+def _prepare(sample, n) -> tuple:
+    x = _as_sample(sample)
+    if x.size < 3:
+        raise DataError(f"entropy estimation needs at least 3 observations, got {x.size}")
+    m = x.size
+    n = _window(m, n)
     xs = np.sort(x)
     if xs[0] == xs[-1]:
         raise DataError("constant sample: differential entropy undefined")
@@ -180,11 +184,7 @@ def entropy_moment_approximation(sample, k: int, n: int = None) -> float:
     """
     x = np.asarray(sample, dtype=np.float64).ravel()
     m = x.size
-    n = default_window(m) if n is None else int(n)
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
-    if m < 2 * n + 1:
-        raise ValueError(f"window {n} needs at least {2 * n + 1} observations, got {m}")
+    n = _window(m, n)
     lm = log_moment(x, int(k))
     kk = 2 * int(k)
     return lm / kk + math.log(m) / kk + math.log((m + 1) / (2 * n))

@@ -20,7 +20,7 @@ import numpy as np
 from .entropy import EntropyEstimatorConfig, estimate_entropy
 from .errors import DataError, DroppedDataWarning
 from .ica import ContrastSpec, UnmixingMatrix, fit_ica, kkt_residual, transform
-from .moments import _column_moments, _power_means
+from .moments import _as_sample, _column_moments, _power_means
 from .panel import BucketSplit, SamplePanel, _check_date, _csv_text, split_buckets
 from .whiten import WhiteningTransform, apply_whitening, fit_whitening
 
@@ -145,7 +145,9 @@ class SyntheticMarketSpec:
                 raise DataError(f"{name} must lie in [0, 1], got {value}")
         if self.tremor_scale < 0.0 or self.crash_scale < 0.0:
             raise DataError("tremor_scale and crash_scale must be non-negative")
-        _check_date(self.start_date, "start_date")
+        start = datetime.date.fromisoformat(_check_date(self.start_date, "start_date"))
+        if start.toordinal() + int(self.m_samples) - 1 > datetime.date.max.toordinal():
+            raise DataError(f"{self.m_samples} daily rows from {self.start_date} run past 9999-12-31")
 
 
 def _standardized_t(rng, df, size):
@@ -197,11 +199,7 @@ def tail_histogram(values):
     absolute value, 101 bins in all.  Returns (edges, counts); counts
     always sum to ``len(values)``.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size == 0:
-        raise DataError("cannot histogram an empty sample")
-    if not np.all(np.isfinite(v)):
-        raise DataError("histogram input has non-finite entries")
+    v = _as_sample(values)
     w = CORE_HALF_WIDTH
     limit = max(float(np.abs(v).max()) * (1.0 + 1e-9), 1.25 * w)
     tail = np.geomspace(w, limit, TAIL_BINS + 1)

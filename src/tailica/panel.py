@@ -77,18 +77,16 @@ def _check_rows(rows: tuple) -> _RowIndex:
     m = len(rows)
     text = ("\n".join(rows) + "\n").encode("ascii", "replace")  # a byte per character
     raw = np.frombuffer(text, np.uint8)
-    if raw.size == 11 * m and np.all(raw[10::11] == ord("\n")) and text.count(b"\n") == m:
-        n = m  # every row is 10 characters, none a newline
-    else:
-        wrong = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=m) != 10)
-        n = int(wrong[0]) if wrong.size else m  # rows before n are 10 characters
-    digits = raw[: 11 * n].reshape(n, 11)[:, :10].T.copy()  # a row per character position
+    if not (raw.size == 11 * m and np.all(raw[10::11] == ord("\n")) and text.count(b"\n") == m):
+        for row in rows:  # a row is not 10 characters or holds a newline: one raises
+            _check_date(row, "row id")
+    digits = raw.reshape(m, 11)[:, :10].T.copy()  # a row per character position
     del text, raw
     ok = (digits[4] == ord("-")) & (digits[7] == ord("-"))
     digits -= ord("0")  # a digit becomes its value, any other byte wraps above 9
     fields = []  # int16, built in place; only rows with a non-digit can wrap
     for a, b in ((0, 4), (5, 7), (8, 10)):
-        value = np.zeros(n, dtype=np.int16)
+        value = np.zeros(m, dtype=np.int16)
         for j in range(a, b):
             ok &= digits[j] <= 9
             value *= 10
@@ -101,8 +99,8 @@ def _check_rows(rows: tuple) -> _RowIndex:
     leap = year[feb29]
     ok[feb29] &= (leap % 4 == 0) & ((leap % 100 != 0) | (leap % 400 == 0))
     bad = np.flatnonzero(~ok)
-    if bad.size or n < m:
-        _check_date(rows[int(bad[0]) if bad.size else n], "row id")
+    if bad.size:
+        _check_date(rows[int(bad[0])], "row id")
     key = year.astype(np.int32)
     for field in (month, day):
         key *= 100
@@ -245,10 +243,12 @@ def center(panel: SamplePanel) -> SamplePanel:
 
 @contextlib.contextmanager
 def _open_text(path_or_file, mode="r"):
-    """A file object as given, or a path opened and closed on exit; input
-    text that does not decode is a ``DataError``."""
+    """A file object as given, or a path opened as UTF-8 and closed on exit;
+    read text may start with a byte-order mark, and text that does not
+    decode is a ``DataError``."""
     owned = not (hasattr(path_or_file, "read") or hasattr(path_or_file, "write"))
-    handle = open(path_or_file, mode, newline="") if owned else path_or_file
+    encoding = "utf-8-sig" if mode == "r" else "utf-8"
+    handle = open(path_or_file, mode, newline="", encoding=encoding) if owned else path_or_file
     try:
         yield handle
     except UnicodeDecodeError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .moments import _pow2_scale, _power_means
+from .moments import _column_moments, _pow2_scale
 from .panel import SamplePanel, _csv_text, _frozen
 
 __all__ = [
@@ -48,8 +48,7 @@ class TailCovarianceMatrix:
 
 def _check_centered(data: np.ndarray, column_ids) -> None:
     means = np.abs(data.mean(axis=0))
-    squares, exp2 = _power_means(data, 2)  # RMS scaled back: exact where data**2 is in range
-    scales = np.ldexp(np.sqrt(squares), exp2)
+    scales = np.array(_column_moments(data, 2, root=True))  # each column's RMS
     bad = means > 1e-8 * np.maximum(scales, 1e-300)
     if np.any(bad):
         j = int(np.argmax(bad))

@@ -87,7 +87,8 @@ def fit_whitening(
     """Fit a whitening transform on a panel, keeping the top d eigenvectors.
 
     Eigenvalues below ``eig_floor`` times the largest are dropped and d is
-    reduced accordingly (reported via :class:`ReductionWarning`).  With
+    reduced accordingly (reported via :class:`ReductionWarning`); the floor
+    must lie in (0, 1], since above 1 it would drop every eigenvalue.  With
     ``standardize`` each column is scaled to unit variance before PCA
     (correlation-matrix whitening); the scaling is folded into the stored
     projection, so applying the transform needs no extra state.
@@ -100,8 +101,8 @@ def fit_whitening(
         raise ValueError(f"d={d} exceeds the panel's {n} columns")
     if panel.m <= d:
         raise ValueError(f"need more than d={d} rows, got {panel.m}")
-    if eig_floor <= 0.0:
-        raise ValueError(f"eig_floor must be positive, got {eig_floor}")
+    if not 0.0 < eig_floor <= 1.0:
+        raise ValueError(f"eig_floor must lie in (0, 1], got {eig_floor}")
     x = panel.data
     mean = x.mean(axis=0)
     xc = x - mean

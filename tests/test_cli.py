@@ -93,6 +93,28 @@ def test_auto_detect_reads_a_quoted_long_header(tmp_path):
     assert (tmp_path / "auto.csv").read_bytes() == (tmp_path / "long.csv").read_bytes()
 
 
+def test_inputs_may_start_with_a_byte_order_mark(tmp_path):
+    long_text = "date,symbol,return\n2020-01-02,BBB,0.5\n2020-01-01,AAA,0.25\n2020-01-01,BBB,-0.5\n"
+    wide_text = "date,AAA,BBB\n2020-01-01,0.25,-0.5\n2020-01-02,1.0,0.5\n"
+    for name, text in [("long", long_text), ("wide", wide_text)]:
+        plain, marked = tmp_path / f"{name}.csv", tmp_path / f"{name}_bom.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for layout in ("auto", name):
+            outs = [tmp_path / f"{name}_{layout}_{i}.csv" for i in range(2)]
+            for src, out in zip((plain, marked), outs):
+                assert main(["ingest", "--input", str(src), "--format", layout, "--out", str(out)]) == 0
+            assert outs[0].read_bytes() == outs[1].read_bytes()
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"\xef\xbb\xbfformat=wide\n")
+    out = tmp_path / "config.csv"
+    argv = ["ingest", "--config", str(config), "--input", str(tmp_path / "wide_bom.csv"), "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "config.csv.manifest.json").read_text())
+    assert manifest["parameters"]["format"] == "wide"
+    assert out.read_bytes() == (tmp_path / "wide_wide_0.csv").read_bytes()
+
+
 def test_fit_writes_all_artifacts(tmp_path, market_csv):
     out = tmp_path / "run"
     rc = main(
@@ -229,6 +251,9 @@ def test_undecodable_config_file_is_a_usage_error_that_names_it(tmp_path, market
     argv = ["fit", "--config", str(config), "--input", str(market_csv), "--out", str(tmp_path)]
     assert main(argv) == 1
     assert f"cannot read config file {config}" in capsys.readouterr().err
+    config.write_text("d=4\nwhatnot\n")  # a line without '='
+    assert main(argv) == 1
+    assert f"{config}:2: expected key=value, got 'whatnot'" in capsys.readouterr().err
 
 
 def test_entropy_stdout_and_file(tmp_path, market_csv, capsys):
@@ -260,7 +285,7 @@ def test_tailcov_matches_library(tmp_path, market_csv, capsys):
 def test_scatter_writes_records(tmp_path, market_csv):
     out = tmp_path / "scatter.csv"
     rc = main(
-        ["scatter", "--input", str(market_csv), "--bucket-label", "all", "--out", str(out)]
+        ["scatter", "--input", str(market_csv), "--out", str(out)]
     )
     assert rc == 0
     lines = out.read_text().strip().split("\n")
@@ -345,6 +370,9 @@ def test_config_file_supplies_defaults(tmp_path, market_csv):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["parameters"]["d"] == 4
     assert manifest["parameters"]["max_iter"] == 120
+    config.write_text("d=4\nk=2\nboundary=2014-07-20\nstandardize=false\n")
+    assert main(["fit", "--config", str(config), "--input", str(market_csv), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["parameters"]["standardize"] is False
 
 
 def test_cli_overrides_config(tmp_path, market_csv):
@@ -400,6 +428,11 @@ def test_usage_error_exit_codes(tmp_path, market_csv, capsys):
     )
     assert rc == 1
     assert not (tmp_path / "r").exists()
+    # an unknown input layout
+    argv = ["ingest", "--input", str(market_csv), "--format", "bogus", "--out", str(tmp_path / "r")]
+    assert main(argv) == 1
+    assert "--format must be auto, long or wide, got 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
     # no subcommand prints help and fails
     assert main([]) == 1
     capsys.readouterr()
@@ -416,6 +449,13 @@ def test_data_error_exit_codes(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "data error" in err
+    # a synthetic market whose last day would fall past 9999-12-31
+    out = tmp_path / "late.csv"
+    argv = ["synth", "--assets", "2", "--samples", "5", "--start-date", "9999-12-29", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "tailica: data error: 5 daily rows from 9999-12-29 run past 9999-12-31" in err
+    assert not out.exists()
 
 
 def test_numerical_error_exit_code(monkeypatch, tmp_path, market_csv, capsys):

@@ -206,6 +206,8 @@ def test_moment_link_upper_bounds_vasicek():
 def test_moment_link_window_validation():
     with pytest.raises(ValueError):
         entropy_moment_approximation([1.0, 2.0, 3.0], 4, 5)
+    with pytest.raises(ValueError, match="window must be >= 1, got 0"):
+        entropy_moment_approximation([1.0, 2.0, 3.0], 4, 0)
 
 
 def make_component_panel(data):

@@ -151,12 +151,20 @@ def test_market_spec_validation():
         SyntheticMarketSpec(vol_range=(0.0, 1.0))
     with pytest.raises(DataError):
         SyntheticMarketSpec(crash_prob=1.5)
+    with pytest.raises(DataError, match="m_samples must be >= 2"):
+        SyntheticMarketSpec(m_samples=1)
+    with pytest.raises(DataError, match="must be non-negative"):
+        SyntheticMarketSpec(tremor_scale=-1.0)
     # 2014-W01-1 would silently start the market on 2013-12-30
     for bad in ("01/01/2020", "20140101", "2014-W01-1"):
         with pytest.raises(DataError):
             SyntheticMarketSpec(start_date=bad)
     with pytest.raises(DataError):
         SyntheticMarketSpec(nu_factor=2.0)
+    last = SyntheticMarketSpec(n_assets=1, m_samples=3, start_date="9999-12-29")
+    assert generate_market(last).row_ids[-1] == "9999-12-31"
+    with pytest.raises(DataError, match="4 daily rows from 9999-12-29 run past 9999-12-31"):
+        SyntheticMarketSpec(m_samples=4, start_date="9999-12-29")
 
 
 def test_equal_weight_portfolio_is_row_mean():

@@ -290,6 +290,8 @@ def test_unmixing_csv_rejects_tampering():
         unmixing_from_csv("")
     with pytest.raises(DataError):
         unmixing_from_csv(text.replace("1.0", "one point zero"))
+    with pytest.raises(DataError, match="malformed header field 'seed'"):
+        unmixing_from_csv("tailica-W v1, k=2, seed, converged=true, iterations=1\n" + body)
 
 
 def test_kkt_residual_dataclass_fields():

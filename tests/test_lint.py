@@ -3,6 +3,7 @@
 Every imported name in a ``tailica`` module is used, every name a module
 exports in ``__all__`` exists, and the package imports nothing beyond the
 standard library and numpy, and no module that starts threads or processes.
+Every ``open()`` names its encoding.
 """
 
 import ast
@@ -75,3 +76,14 @@ def test_no_module_imports_a_thread_or_process_pool():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] in banned]
     assert not found, "thread or process imports: " + ", ".join(found)
+
+
+def test_every_open_names_an_encoding():
+    # without one, file text follows the machine's locale
+    bare = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+                if not any(keyword.arg == "encoding" for keyword in node.keywords):
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert not bare, "open() without encoding=: " + ", ".join(bare)

@@ -169,6 +169,8 @@ def test_panel_rejects_too_few_rows():
 def test_panel_rejects_zero_columns():
     with pytest.raises(DataError):
         SamplePanel(np.ones((3, 0)), (), ("2020-01-01", "2020-01-02", "2020-01-03"))
+    with pytest.raises(DataError, match="must be 2-d"):
+        SamplePanel(np.ones(3), ("a",), ("2020-01-01", "2020-01-02", "2020-01-03"))
 
 
 def test_panel_rejects_non_finite():
@@ -835,6 +837,8 @@ def test_wide_csv_works_with_file_objects():
     write_wide_csv(p, buf)
     q = read_wide_csv(io.StringIO(buf.getvalue()))
     assert np.array_equal(q.data, p.data)
+    blank = read_wide_csv(io.StringIO(buf.getvalue().replace("\n", "\n\n  \n", 2)))
+    assert np.array_equal(blank.data, p.data) and blank.row_ids == p.row_ids
 
 
 def test_wide_csv_matches_a_csv_writer_reference():
@@ -870,6 +874,8 @@ def test_read_wide_csv_errors():
         read_wide_csv(io.StringIO("date,AAA\n2020-01-02,1.0\n2020-01-01,2.0\n2020-01-03,x\n"))
     with pytest.raises(DataError, match="line 3: row dates not strictly increasing"):
         read_wide_csv(io.StringIO("date,AAA\n2020-01-02,1.0\n2020-01-02,2.0\n"))
+    with pytest.raises(DataError, match="^no data rows in input"):
+        read_wide_csv(io.StringIO("date,AAA\n"))
 
 
 def test_read_wide_csv_checks_each_date_once(monkeypatch):

@@ -120,6 +120,10 @@ def test_parameter_validation():
         fit_whitening(p, d=7)
     with pytest.raises(ValueError):
         fit_whitening(p, d=6, eig_floor=0.0)
+    with pytest.raises(ValueError, match=r"eig_floor must lie in \(0, 1\], got 2.0"):
+        fit_whitening(p, d=4, eig_floor=2.0)  # above 1 no eigenvalue clears it
+    with pytest.raises(DataError, match="all-constant panel"):
+        fit_whitening(panel_from(np.ones((20, 3))), d=2)
     small = panel_from(np.random.default_rng(1).standard_normal((4, 6)))
     with pytest.raises(ValueError):
         fit_whitening(small, d=5)
@@ -162,6 +166,16 @@ def test_csv_rejects_tampered_input():
     missing = "\n".join(l for l in lines if not l.startswith("mean"))
     with pytest.raises(DataError):
         whitening_from_csv(missing)
+    with pytest.raises(DataError, match="^bad whitening file: field larger than field limit"):
+        whitening_from_csv(text.replace("columns,", "columns," + "x" * 200_000 + ",", 1))
+    with pytest.raises(DataError, match="^unexpected block 'scale'"):
+        whitening_from_csv(text.replace("mean,", "scale,1\nmean,", 1))
+    with pytest.raises(DataError, match="^expected 2 projection rows, found 1"):
+        whitening_from_csv("\n".join(lines[:-1]))
+    with pytest.raises(DataError, match="^bad numeric field"):
+        whitening_from_csv(text.replace("eigenvalues,", "eigenvalues,big,", 1))
+    with pytest.raises(DataError, match="^projection rows have inconsistent width"):
+        whitening_from_csv("\n".join(lines[:-2] + [row + ",0.5" for row in lines[-2:]]))
 
 
 @pytest.mark.parametrize("header", ["projection,three,5", "projection,2", "projection,2,6,1"])
@@ -185,6 +199,12 @@ def test_transform_validation():
         WhiteningTransform(mean, proj, good_evals, ("a", "b"))
     with pytest.raises(DataError):
         WhiteningTransform(np.zeros(2), proj, good_evals, ("a", "b", "c"))
+    with pytest.raises(DataError, match="projection must be 2-d"):
+        WhiteningTransform(mean, np.ones(3), good_evals, ("a", "b", "c"))
+    with pytest.raises(DataError, match="3 eigenvalues for 2 projection rows"):
+        WhiteningTransform(mean, proj, np.array([3.0, 2.0, 1.0]), ("a", "b", "c"))
+    with pytest.raises(DataError, match="non-finite"):
+        WhiteningTransform(mean, np.full((2, 3), np.inf), good_evals, ("a", "b", "c"))
 
 
 def test_transform_neither_freezes_nor_aliases_a_callers_arrays():

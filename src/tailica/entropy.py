@@ -182,7 +182,7 @@ def entropy_moment_approximation(sample, k: int, n: int = None) -> float:
     spacing estimators approach when a single extreme observation carries
     the moment.  Leading-order only; the error term is O(1).
     """
-    x = np.asarray(sample, dtype=np.float64).ravel()
+    x = _as_sample(sample)
     m = x.size
     n = _window(m, n)
     lm = log_moment(x, int(k))

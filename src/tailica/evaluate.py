@@ -45,6 +45,7 @@ QUANTILE_LEVELS = (0.001, 0.01, 0.99, 0.999)
 CORE_HALF_WIDTH = 2.0  # tail_histogram's bins, which no caller varies
 CORE_BINS = 41
 TAIL_BINS = 30
+_MARKET_BLOCK_ROWS = 1024  # rows of the factor term generate_market makes at a time
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,14 @@ def _standardized_t(rng, df, size):
     df = np.asarray(df, dtype=np.float64)
     if np.all(np.isinf(df)):
         return rng.standard_normal(size)
-    return rng.standard_t(df, size) / np.sqrt(df / (df - 2.0))
+    draws = rng.standard_t(df, size)
+    draws /= np.sqrt(df / (df - 2.0))
+    return draws
 
 
 def generate_market(spec: SyntheticMarketSpec) -> SamplePanel:
-    """Deterministic synthetic return panel from a market spec."""
+    """Deterministic synthetic return panel from a market spec, built in place in
+    its one draw array: generation holds about 1.25 times the panel."""
     n = int(spec.n_assets)
     m = int(spec.m_samples)
     rng = np.random.default_rng(spec.seed)
@@ -178,7 +182,12 @@ def generate_market(spec: SyntheticMarketSpec) -> SamplePanel:
         np.arange(m) >= spec.crash_start * m
     )
     factor = np.where(crash_days, factor * spec.crash_scale, factor)
-    data = vols * (betas * factor[:, np.newaxis] + np.sqrt(1.0 - betas**2) * idio)
+    data = idio  # vols * (betas * factor + sqrt(1 - betas**2) * idio), bit for bit
+    data *= np.sqrt(1.0 - betas**2)
+    for lo in range(0, m, _MARKET_BLOCK_ROWS):
+        block = data[lo : lo + _MARKET_BLOCK_ROWS]
+        block += betas * factor[lo : lo + _MARKET_BLOCK_ROWS, np.newaxis]
+        block *= vols
     data.flags.writeable = False
     start = datetime.date.fromisoformat(spec.start_date)
     dates = tuple((start + datetime.timedelta(days=i)).isoformat() for i in range(m))
@@ -250,35 +259,28 @@ def scatter_moment_entropy(
 
     Columns are centered before the root moment (moments are defined for
     centered variables); entropy is translation-invariant so the raw
-    column is passed through.  Constant columns are skipped with a
-    warning.
+    column is passed through.  A column whose entropy estimate raises
+    ``DataError`` (a constant column, or one of many tied zeros such as a
+    late-listed symbol filled with 0.0) is skipped with a warning that
+    names the reason.
     """
     config = entropy_config or EntropyEstimatorConfig()
     centered = np.array(panel.data, order="F")  # each column averages as a 1-d sample
     centered -= centered.mean(axis=0)
-    constant = (~centered.any(axis=0)).tolist()
     roots = _column_moments(centered, 10, root=True)
     del centered
     records = []
-    skipped = []
+    skipped = {}  # reason -> column ids
     for j, cid in enumerate(panel.column_ids):
-        if constant[j]:
-            skipped.append(cid)
+        try:
+            entropy = estimate_entropy(panel.data[:, j], config).value
+        except DataError as exc:
+            skipped.setdefault(str(exc), []).append(cid)
             continue
-        records.append(
-            ScatterRecord(
-                column_id=cid,
-                root_moment_10=roots[j],
-                entropy=estimate_entropy(panel.data[:, j], config).value,
-                bucket=str(bucket_label),
-            )
-        )
+        records.append(ScatterRecord(cid, roots[j], entropy, str(bucket_label)))
     if skipped:
-        warnings.warn(
-            f"skipped {len(skipped)} constant columns: " + ", ".join(skipped[:10]),
-            DroppedDataWarning,
-            stacklevel=2,
-        )
+        text = (f"skipped {len(ids)} columns ({why}): " + ", ".join(ids[:10]) for why, ids in skipped.items())
+        warnings.warn("; ".join(text), DroppedDataWarning, stacklevel=2)
     return records
 
 

@@ -1,15 +1,17 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
 import csv
+import datetime
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import tailica.cli as cli
 from tailica.cli import main
-from tailica.errors import NumericalError
+from tailica.errors import DroppedDataWarning, NumericalError
 from tailica.ica import unmixing_from_csv
 from tailica.panel import SamplePanel, read_wide_csv, write_wide_csv
 from tailica.tailcov import tail_covariance
@@ -352,6 +354,45 @@ def test_eval_smoke(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     # the effective boundary (sample midpoint) is recorded for reruns
     assert manifest["parameters"]["boundary"] is not None
+
+
+def test_synth_with_the_eval_manifest_rebuilds_market_csv(tmp_path):
+    out = tmp_path / "run"
+    argv = ["eval", "--assets", "6", "--samples", "300", "--crash-prob", "0.1"]
+    argv += ["--market-seed", "7", "--d", "4", "--k", "2", "--max-iter", "50", "--out", str(out)]
+    assert main(argv) == 0
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    synth = ["synth", "--seed", str(params["market_seed"]), "--out", str(tmp_path / "m.csv")]
+    for opt in cli._MARKET_OPTS:
+        synth += [opt.flag, str(params[opt.dest])]
+    assert main(synth) == 0
+    assert (tmp_path / "m.csv").read_bytes() == (out / "market.csv").read_bytes()
+
+
+def test_fit_drops_a_late_listed_symbol_from_the_scatter(tmp_path, capsys):
+    # A00 starts 150 days late; ingest fills those days with 0.0, and the
+    # tied zeros leave its in-sample entropy undefined.
+    rng = np.random.default_rng(0)
+    x = rng.standard_t(5, (2000, 20)).tolist()
+    start = datetime.date(2010, 1, 4)
+    path = tmp_path / "late.csv"
+    with open(path, "w") as handle:
+        handle.write("date,symbol,return\n")
+        for i, row in enumerate(x):
+            date = (start + datetime.timedelta(days=i)).isoformat()
+            for j, v in enumerate(row):
+                if j or i >= 150:
+                    handle.write(f"{date},A{j:02d},{v!r}\n")
+    out = tmp_path / "fit"
+    argv = ["fit", "--input", str(path), "--boundary", "2012-09-30", "--d", "10", "--k", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([*argv, "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    scatter_in = list(csv.reader(io.StringIO((out / "scatter_in.csv").read_text())))
+    assert [row[0] for row in scatter_in[1:]] == [f"A{j:02d}" for j in range(1, 20)]
+    dropped = [str(w.message) for w in caught if w.category is DroppedDataWarning]
+    assert len(dropped) == 1 and dropped[0].endswith("sample too degenerate): A00")
 
 
 def test_config_file_supplies_defaults(tmp_path, market_csv):

@@ -172,6 +172,17 @@ def test_moment_link_hand_case():
     assert got == pytest.approx(MOMENT_LINK_VALUE, abs=1e-12)
 
 
+def test_moment_link_bad_sample_is_a_data_error():
+    # the sample is checked before the window, as the estimators do
+    for bad in ([], [1.0, float("nan"), 2.0], [[]]):
+        with pytest.raises(DataError):
+            entropy_moment_approximation(bad, 2)
+    with pytest.raises(DataError, match="empty sample"):
+        entropy_moment_approximation([], 2, n=0)
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        entropy_moment_approximation([1.0, 2.0, 3.0], 2, n=0)
+
+
 def test_moment_link_brackets_the_extreme():
     # The 2k-th root of the moment sits between x_inf/m^(1/2k) and x_inf,
     # so the approximation is pinned to ln((m+1) x_inf / (2n)) within a

@@ -414,6 +414,30 @@ LONG_CSV = """date,symbol,return
 """
 
 
+def test_ingest_csv_peak_memory_per_row(tmp_path):
+    # Two int32 codes and the value a row, then each row's int32 cell index
+    # and one temporary: measured at 28 bytes a row on this file (26 on
+    # 500,000 rows), against 36 with int64 cell indices.
+    n_sym, n_days = 50, 2000
+    rng = np.random.default_rng(21)
+    values = rng.standard_t(5, (n_days, n_sym)).tolist()
+    start = datetime.date(2010, 1, 4)
+    path = tmp_path / "long.csv"
+    with open(path, "w") as handle:
+        handle.write("date,symbol,return\n")
+        for i, row in enumerate(values):
+            date = (start + datetime.timedelta(days=i)).isoformat()
+            handle.write("".join(f"{date},S{j:02d},{v!r}\n" for j, v in enumerate(row)))
+    tracemalloc.start()
+    try:
+        p = ingest_csv(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.data.tolist() == values
+    assert peak <= 32 * n_sym * n_days, peak / (n_sym * n_days)
+
+
 def test_ingest_csv_sorts_dates_and_symbols():
     p = ingest_csv(io.StringIO(LONG_CSV))
     assert p.column_ids == ("AAA", "BBB")

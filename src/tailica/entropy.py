@@ -10,9 +10,10 @@ spacing window n (default floor(sqrt(m))), indices clamped to [1, m]:
 * correa:   local linear regression of the order statistics on their
   ranks inside each window.
 
-All values are in nats.  Exact ties are perturbed upward by one float
-increment (with a warning) before spacings are formed, so only a fully
-constant sample is degenerate.
+All values are in nats.  A sample in which one value fills a whole
+spacing window (x_(j+n) == x_(j-n)) is degenerate; other exact ties are
+perturbed upward by one float increment (with a warning) before spacings
+are formed.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ def _prepare(sample, n) -> tuple:
     xs = np.sort(x)
     if xs[0] == xs[-1]:
         raise DataError("constant sample: differential entropy undefined")
+    if np.any(_spacings(xs, m, n) == 0.0):
+        raise DataError("one value fills a spacing window; sample too degenerate")
     if np.any(np.diff(xs) == 0.0):
         warnings.warn(
             "tied sample values perturbed by one float step before spacing "
@@ -109,10 +112,7 @@ def _padded(xs: np.ndarray, n: int) -> np.ndarray:
 
 def _spacings(xs: np.ndarray, m: int, n: int) -> np.ndarray:
     xp = _padded(xs, n)
-    spac = xp[2 * n :] - xp[: m]
-    if np.any(spac <= 0.0):
-        raise DataError("zero spacing after tie handling; sample too degenerate")
-    return spac
+    return xp[2 * n :] - xp[:m]
 
 
 def vasicek_entropy(sample, n: int = None) -> EntropyEstimate:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .moments import _pow2_exponents
-from .panel import SamplePanel, _csv_text, _frozen
+from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen
 from .tailcov import tail_covariance
 from .whiten import _fix_signs
 
@@ -54,7 +54,6 @@ __all__ = [
 # updates smaller than this are numerical noise around an exact stationary
 # point (quadratic contrast on white data, or exactly Gaussian columns)
 _STATIONARY_EPS = 1e-11
-_BLOCK_ROWS = 1 << 13  # rows per cache-sized block of the update's elementwise chain
 
 
 @dataclass(frozen=True)

@@ -63,12 +63,6 @@ def _pow2_exponents(x: np.ndarray) -> np.ndarray:
     return np.where(col_inf > 0.0, exp2, 0)
 
 
-def _pow2_scale(x: np.ndarray):
-    """Per-column ratios in (-1, 1) and exponents, ``x == ldexp(ratios, exp2)`` exactly."""
-    exp2 = _pow2_exponents(x)
-    return np.ldexp(x, -exp2), exp2
-
-
 def extremes(sample) -> SampleExtremes:
     """Exact max, min and max-absolute value of a sample."""
     x = _as_sample(sample)
@@ -77,16 +71,25 @@ def extremes(sample) -> SampleExtremes:
     return SampleExtremes(x_max=x_max, x_min=x_min, x_inf=max(x_max, -x_min))
 
 
-def _power_means(x: np.ndarray, p: int):
-    """Each column's mean of ``ldexp(x, -exp2) ** p``, and ``exp2``: the order-p
-    moment is ``ldexp(mean, exp2 * p)``.  The ratios are powered in place in
-    one F-ordered array, the call's one temporary the size of ``x``, so each
-    column is summed bit for bit as a contiguous 1-d sample would be."""
+def _scaled_powers(x: np.ndarray, p: int):
+    """``ldexp(x, -exp2) ** p`` and ``exp2``: each column scaled by a power of
+    two into (-1, 1), so no power overflows, then raised to ``p``.
+
+    The ratios are powered in place in one F-ordered array, the call's one
+    temporary the size of ``x``, so each column is summed bit for bit as a
+    contiguous 1-d sample would be."""
     exp2 = _pow2_exponents(x)
-    ratios = np.empty(x.shape, order="F")
-    np.ldexp(x, -exp2, out=ratios)
-    ratios **= p
-    return ratios.mean(axis=0), exp2
+    powers = np.empty(x.shape, order="F")
+    np.ldexp(x, -exp2, out=powers)
+    powers **= p
+    return powers, exp2
+
+
+def _power_means(x: np.ndarray, p: int):
+    """Each column's mean of ``_scaled_powers``, and ``exp2``: the order-p
+    moment is ``ldexp(mean, exp2 * p)``."""
+    powers, exp2 = _scaled_powers(x, p)
+    return powers.mean(axis=0), exp2
 
 
 def _column_moments(x: np.ndarray, p: int, sums=None, root: bool = False) -> list:

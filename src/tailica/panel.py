@@ -31,6 +31,8 @@ __all__ = [
     "center",
 ]
 
+_BLOCK_ROWS = 1 << 13  # rows per cache-sized block of a row-wise pass over a tall panel
+
 
 def _check_date(text: str, context: str) -> str:
     """Return ``text`` if it is a calendar date written as ``YYYY-MM-DD``.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .moments import _column_moments, _pow2_scale
+from .moments import _column_moments, _scaled_powers
 from .panel import SamplePanel, _csv_text, _frozen
 
 __all__ = [
@@ -77,8 +77,7 @@ def tail_covariance(
     if check_centered:
         _check_centered(data, components.column_ids)
     m, d = data.shape
-    ratios, exp2 = _pow2_scale(data)
-    powers = ratios ** (2 * k - 1)
+    powers, exp2 = _scaled_powers(data, 2 * k - 1)
     values = data.T @ powers / m
     with np.errstate(over="ignore"):
         values = np.ldexp(values, (exp2 * (2 * k - 1))[np.newaxis, :])

@@ -11,7 +11,7 @@ import pytest
 
 import tailica.cli as cli
 from tailica.cli import main
-from tailica.errors import DroppedDataWarning, NumericalError
+from tailica.errors import DroppedDataWarning, NumericalError, TieWarning
 from tailica.ica import unmixing_from_csv
 from tailica.panel import SamplePanel, read_wide_csv, write_wide_csv
 from tailica.tailcov import tail_covariance
@@ -393,6 +393,7 @@ def test_fit_drops_a_late_listed_symbol_from_the_scatter(tmp_path, capsys):
     assert [row[0] for row in scatter_in[1:]] == [f"A{j:02d}" for j in range(1, 20)]
     dropped = [str(w.message) for w in caught if w.category is DroppedDataWarning]
     assert len(dropped) == 1 and dropped[0].endswith("sample too degenerate): A00")
+    assert not any(w.category is TieWarning for w in caught)  # A00 is refused before its ties
 
 
 def test_config_file_supplies_defaults(tmp_path, market_csv):

@@ -137,6 +137,23 @@ def test_ties_warn_and_still_estimate():
     assert math.isfinite(est.value)
 
 
+@pytest.mark.parametrize("fn", [vasicek_entropy, ebrahimi_entropy, correa_entropy])
+def test_an_atom_that_fills_a_spacing_window_is_an_error(fn):
+    # 250 or more zeros among 2500 draws fill whole windows of 2n + 1 = 101
+    # order statistics; the one-ulp tie rule used to turn them into
+    # subnormal spacings and vasicek estimates of -42.6 to -263.8 nats.
+    def sample(frac):
+        x = np.random.default_rng(0).standard_t(4, 2500)
+        x[: int(frac * x.size)] = 0.0
+        return x
+
+    for frac in (0.1, 0.2, 0.4):
+        with pytest.raises(DataError, match="sample too degenerate$"):
+            fn(sample(frac))
+    with pytest.warns(TieWarning):  # 2% zeros fill no window: an estimate
+        assert 1.6 < fn(sample(0.02)).value < 1.75
+
+
 def test_constant_sample_is_error():
     with pytest.raises(DataError):
         vasicek_entropy([3.0, 3.0, 3.0, 3.0], 1)

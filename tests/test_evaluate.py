@@ -331,16 +331,16 @@ def test_scatter_skips_constant_columns():
 
 
 def test_scatter_skips_columns_with_no_entropy_estimate():
-    # 150 leading zeros become subnormal spacings under the tie rule, and
-    # the correa estimator rejects the sample; the column is dropped with
-    # the reason named, as a constant column is.
+    # 150 leading zeros fill whole spacing windows, and the estimator
+    # rejects the sample; the column is dropped with the reason named, as
+    # a constant column is.
     rng = np.random.default_rng(75)
     data = rng.standard_t(5, (1000, 3))
     data[:150, 1] = 0.0
     data[:, 2] = 3.0
     p = panel_from(data, ("a", "late", "const"))
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # the TieWarning comes first
+        warnings.simplefilter("always")
         records = scatter_moment_entropy(p, "in")
     assert [r.column_id for r in records] == ["a"]
     (message,) = [str(w.message) for w in caught if w.category is DroppedDataWarning]

@@ -22,7 +22,7 @@ from tailica.ica import (
     unmixing_from_csv,
     unmixing_to_csv,
 )
-from tailica.moments import _pow2_scale
+from tailica.moments import _pow2_exponents
 from tailica.panel import SamplePanel, split_buckets
 from tailica.tailcov import tail_covariance
 from tailica.whiten import _fix_signs, apply_whitening, fit_whitening
@@ -441,7 +441,9 @@ def test_overflowing_update_raises_without_a_runtime_warning(default_white):
 
 def _fsum_damping_update(y, w, k):
     """The fixed-point update written out, its damping mean exactly rounded."""
-    r, exp2 = _pow2_scale(y @ w)
+    r = y @ w
+    exp2 = _pow2_exponents(r)
+    r = np.ldexp(r, -exp2)
     power = ica_module._int_power(r, 2 * k - 2)
     mean = np.array([math.fsum(column.tolist()) for column in power.T]) / y.shape[0]
     damp = np.ldexp((2 * k - 1) * mean, exp2 * (2 * k - 2))
@@ -526,7 +528,9 @@ def test_update_allocates_only_column_ordered_blocks(tall_white, monkeypatch):
 
 def _unblocked_update(y, w, k):
     """The update as one chain over all rows: two m x d buffers, a pairwise mean."""
-    r, exp2 = _pow2_scale((w.T @ y.T).T)
+    r = (w.T @ y.T).T
+    exp2 = _pow2_exponents(r)
+    r = np.ldexp(r, -exp2)
     power = ica_module._int_power(r, 2 * k - 2)
     # past float64 the scale overflows; fit_ica raises on the non-finite update
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,9 +1,10 @@
 """Lint checks written against the standard library alone.
 
-Every imported name in a ``tailica`` module is used, every name a module
-exports in ``__all__`` exists, and the package imports nothing beyond the
-standard library and numpy, and no module that starts threads or processes.
-Every ``open()`` names its encoding.
+Every imported name in a ``tailica`` module is used, every private
+top-level name is referenced in the package besides its definition, every
+name a module exports in ``__all__`` exists, and the package imports nothing
+beyond the standard library and numpy, and no module that starts threads or
+processes.  Every ``open()`` names its encoding.
 """
 
 import ast
@@ -33,6 +34,28 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a private helper that only tests call is API that exists for its tests
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    unused = []
+    for stem, tree in trees.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for other in trees.values():
+            for node in ast.walk(other):
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == stem:
+                    used.update(alias.name for alias in node.names)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                continue
+            private = [name for name in names if name.startswith("_") and not name.startswith("__")]
+            unused += [f"{stem}.py:{node.lineno} {name}" for name in private if name not in used]
+    assert not unused, "private names nothing in the package uses: " + ", ".join(unused)
 
 
 def test_all_entries_resolve():

@@ -9,8 +9,9 @@ import pytest
 from tailica.errors import DataError, TieWarning
 from tailica.moments import (
     _column_moments,
-    _pow2_scale,
+    _pow2_exponents,
     _power_means,
+    _scaled_powers,
     extremes,
     log_moment,
     moment,
@@ -226,7 +227,7 @@ def test_pow2_scale_matches_the_abs_max_form():
         _, want_exp2 = np.frexp(col_inf)
         want_exp2 = np.where(col_inf > 0.0, want_exp2, 0)
         want = np.ldexp(sample, -want_exp2)
-        ratios, exp2 = _pow2_scale(sample)
+        ratios, exp2 = _scaled_powers(sample, 1)
         assert np.array_equal(exp2, want_exp2)
         assert np.array_equal(ratios, want)
         assert np.array_equal(np.signbit(ratios), np.signbit(want))
@@ -271,7 +272,8 @@ def test_power_means_sum_each_column_as_a_contiguous_sample(p):
     x = kernel_columns()
     means, exp2 = _power_means(x, p)
     for j in range(x.shape[1]):
-        ratios, e = _pow2_scale(x[:, j])
+        e = _pow2_exponents(x[:, j])
+        ratios = np.ldexp(x[:, j], -e)
         assert exp2[j] == e
         assert means[j] == np.mean(ratios**p)
     assert np.array_equal(_power_means(np.asfortranarray(x), p)[0], means)

@@ -1,6 +1,7 @@
 """Tests for PCA whitening: fitting, application and serialization."""
 
 import datetime
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,32 @@ def test_projection_shape_and_ids():
     z = apply_whitening(t, p)
     assert z.column_ids == ("pc_0001", "pc_0002", "pc_0003")
     assert z.row_ids == p.row_ids
+
+
+@pytest.mark.parametrize("m, n, d", [(20_001, 6, 5), (16_385, 40, 40)])
+def test_row_blocks_match_the_one_shot_product(m, n, d):
+    # Evenly sized blocks: three of 6667 rows, and three of 5461-5462.
+    # Blocks of 8192 rows would leave the second panel a 1-row block,
+    # which BLAS rounds apart.
+    rng = np.random.default_rng(m)
+    p = panel_from(rng.standard_t(4, (m, n)) @ rng.standard_normal((n, n)) + 0.5)
+    t = fit_whitening(p, d=d)
+    z = apply_whitening(t, p)
+    assert np.array_equal(z.data, (p.data - t.mean) @ t.projection.T)
+
+
+def test_apply_holds_the_result_and_one_block():
+    # A centered copy of the panel beside the result shows as 2x; one block
+    # of centered rows and the panel's finiteness mask (an eighth) fit below.
+    p = panel_from(np.random.default_rng(65).laplace(size=(150_000, 4)))
+    t = fit_whitening(p, d=4)
+    tracemalloc.start()
+    try:
+        z = apply_whitening(t, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * z.data.nbytes, peak / z.data.nbytes
 
 
 def test_rank_deficiency_reduces_d_with_warning():

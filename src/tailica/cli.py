@@ -276,7 +276,10 @@ def _cmd_entropy(params: dict) -> str:
     config = EntropyEstimatorConfig(params["method"], params["window"])
     rows = [("symbol", "entropy", "method", "window_n", "m")]
     for j, cid in enumerate(panel.column_ids):
-        estimate = estimate_entropy(panel.data[:, j], config)
+        try:
+            estimate = estimate_entropy(panel.data[:, j], config)
+        except DataError as exc:
+            raise DataError(f"column {cid!r}: {exc}") from None
         rows.append((cid, estimate.value, estimate.method, estimate.window_n, estimate.m))
     return _csv_text(rows)
 

@@ -11,21 +11,19 @@ spacing window n (default floor(sqrt(m))), indices clamped to [1, m]:
   ranks inside each window.
 
 All values are in nats.  A sample in which one value fills a whole
-spacing window (x_(j+n) == x_(j-n)) is degenerate; other exact ties are
-perturbed upward by one float increment (with a warning) before spacings
-are formed.
+spacing window (x_(j+n) == x_(j-n)) is degenerate.  Ties that fill no
+window are used as they are: every window spacing is still positive.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, TieWarning
-from .moments import _as_sample, log_moment
+from .errors import DataError
+from .moments import _as_sample, _check_order, log_moment
 from .panel import SamplePanel
 
 __all__ = [
@@ -53,8 +51,8 @@ class EntropyEstimatorConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.window_n is not None and int(self.window_n) < 1:
-            raise ValueError(f"window_n must be >= 1, got {self.window_n}")
+        if self.window_n is not None:
+            _check_order(self.window_n, "window_n")
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,7 @@ def default_window(m: int) -> int:
 
 def _window(m: int, n) -> int:
     """The spacing window for m observations: ``n``, or floor(sqrt(m)) if None."""
-    n = default_window(m) if n is None else int(n)
-    if n < 1:
-        raise ValueError(f"window must be >= 1, got {n}")
+    n = default_window(m) if n is None else _check_order(n, "window")
     if m < 2 * n + 1:
         raise ValueError(f"window {n} needs at least {2 * n + 1} observations, got {m}")
     return n
@@ -92,17 +88,6 @@ def _prepare(sample, n) -> tuple:
         raise DataError("constant sample: differential entropy undefined")
     if np.any(_spacings(xs, m, n) == 0.0):
         raise DataError("one value fills a spacing window; sample too degenerate")
-    if np.any(np.diff(xs) == 0.0):
-        warnings.warn(
-            "tied sample values perturbed by one float step before spacing "
-            "computation",
-            TieWarning,
-            stacklevel=3,
-        )
-        first = int(np.argmin(np.diff(xs) > 0.0))
-        for i in range(first + 1, m):
-            if xs[i] <= xs[i - 1]:
-                xs[i] = np.nextafter(xs[i - 1], np.inf)
     return xs, m, n
 
 
@@ -185,8 +170,9 @@ def entropy_moment_approximation(sample, k: int, n: int = None) -> float:
     x = _as_sample(sample)
     m = x.size
     n = _window(m, n)
-    lm = log_moment(x, int(k))
-    kk = 2 * int(k)
+    k = _check_order(k, "order k")
+    lm = log_moment(x, k)
+    kk = 2 * k
     return lm / kk + math.log(m) / kk + math.log((m + 1) / (2 * n))
 
 

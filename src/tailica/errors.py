@@ -18,7 +18,7 @@ class TailicaWarning(UserWarning):
 
 
 class TieWarning(TailicaWarning):
-    """Tied extreme or repeated values required a fallback rule."""
+    """Exactly opposite extremes made an odd-order root moment ambiguous."""
 
 
 class ReductionWarning(TailicaWarning):

@@ -317,12 +317,12 @@ def run_experiment_artifacts(
     reports are taken.  The call starts no thread, so the BLAS library's
     own threads are its only parallelism.
     """
-    k_list = [int(k) for k in k_list]
+    contrasts = [ContrastSpec(k) for k in k_list]
+    k_list = [c.k for c in contrasts]
     if not k_list:
         raise ValueError("k_list must not be empty")
     if len(set(k_list)) != len(k_list):
         raise ValueError(f"duplicate contrast orders in k_list: {k_list}")
-    contrasts = [ContrastSpec(k) for k in k_list]
     entropy_config = entropy_config or EntropyEstimatorConfig()
     split = split_buckets(panel, boundary)
     whitening = fit_whitening(split.in_sample, d, eig_floor=eig_floor, standardize=standardize)

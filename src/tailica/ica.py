@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .moments import _pow2_exponents
+from .moments import _check_order, _pow2_exponents
 from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen
 from .tailcov import tail_covariance
 from .whiten import _fix_signs
@@ -63,9 +63,7 @@ class ContrastSpec:
     k: int
 
     def __post_init__(self):
-        if int(self.k) < 1:
-            raise ValueError(f"contrast order k must be >= 1, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _check_order(self.k, "contrast order k"))
 
 
 def _orthonormality_error(w: np.ndarray) -> float:

@@ -49,11 +49,14 @@ def _as_sample(sample) -> np.ndarray:
     return x
 
 
-def _check_order(p: int) -> int:
-    p = int(p)
-    if p < 1:
-        raise ValueError(f"moment order must be a positive integer, got {p}")
-    return p
+def _check_order(p: int, name: str = "moment order") -> int:
+    """``p`` as an int: an integer value >= 1 (``2.0`` passes, ``2.5`` does not)."""
+    k = int(p)
+    if k != p:
+        raise ValueError(f"{name} must be an integer, got {p}")
+    if k < 1:
+        raise ValueError(f"{name} must be >= 1, got {p}")
+    return k
 
 
 def _pow2_exponents(x: np.ndarray) -> np.ndarray:

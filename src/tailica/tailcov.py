@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .moments import _column_moments, _scaled_powers
+from .moments import _check_order, _column_moments, _scaled_powers
 from .panel import SamplePanel, _csv_text, _frozen
 
 __all__ = [
@@ -70,9 +70,7 @@ def tail_covariance(
     direct evaluation bit for bit when the direct form is in range.  An
     entry beyond the float64 range raises :class:`NumericalError`.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"order k must be a positive integer, got {k}")
+    k = _check_order(k, "order k")
     data = components.data
     if check_centered:
         _check_centered(data, components.column_ids)

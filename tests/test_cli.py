@@ -271,6 +271,18 @@ def test_entropy_stdout_and_file(tmp_path, market_csv, capsys):
     assert out.read_text().startswith("symbol,entropy,method,")
 
 
+def test_entropy_names_the_column_it_cannot_estimate(tmp_path, capsys):
+    data = np.random.default_rng(3).standard_t(4, (400, 3))
+    data[:100, 1] = 0.0  # 100 zeros fill whole windows of 2 * 20 + 1 values
+    start = datetime.date(2020, 1, 1)
+    dates = tuple((start + datetime.timedelta(days=i)).isoformat() for i in range(400))
+    path = tmp_path / "wide.csv"
+    write_wide_csv(SamplePanel(data, ("AAA", "BBB", "CCC"), dates), path)
+    assert main(["entropy", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "column 'BBB': one value fills a spacing window; sample too degenerate" in err
+
+
 def test_tailcov_matches_library(tmp_path, market_csv, capsys):
     rc = main(["tailcov", "--input", str(market_csv), "--k", "2"])
     assert rc == 0

@@ -2,11 +2,13 @@
 
 import datetime
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import differential_entropy
 
+import tailica.entropy as entropy_module
 from tailica.entropy import (
     EntropyEstimate,
     EntropyEstimatorConfig,
@@ -130,11 +132,94 @@ def test_default_window_is_sqrt():
     assert est.window_n == 12
 
 
-def test_ties_warn_and_still_estimate():
+def test_ties_that_fill_no_window_estimate_without_a_warning():
     x = [1.0, 2.0, 2.0, 3.0, 5.0, 8.0]
-    with pytest.warns(TieWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TieWarning)
         est = vasicek_entropy(x, 1)
     assert math.isfinite(est.value)
+
+
+def _reference_prepare(sample, n):
+    """``entropy._prepare`` with the one-ulp tie rule it once applied, kept as
+    its reference: each tied value moved one float step above the one before."""
+    x = entropy_module._as_sample(sample)
+    if x.size < 3:
+        raise DataError(f"entropy estimation needs at least 3 observations, got {x.size}")
+    m = x.size
+    n = entropy_module._window(m, n)
+    xs = np.sort(x)
+    if xs[0] == xs[-1]:
+        raise DataError("constant sample: differential entropy undefined")
+    if np.any(entropy_module._spacings(xs, m, n) == 0.0):
+        raise DataError("one value fills a spacing window; sample too degenerate")
+    for i in range(1, m):
+        if xs[i] <= xs[i - 1]:
+            xs[i] = np.nextafter(xs[i - 1], np.inf)
+    return xs, m, n
+
+
+def _rounded_returns(rng):
+    """A return-like sample with ties: t draws scaled 1e-3 to 10, offset 0 or
+    1, rounded to 0-6 decimals, with up to 10% of its values +0.0 or -0.0."""
+    m = int(rng.integers(20, 600))
+    x = rng.standard_t(float(rng.uniform(2.5, 8.0)), m) * 10.0 ** rng.uniform(-3.0, 1.0)
+    x = np.round(x + float(rng.integers(2)), int(rng.integers(7)))
+    zeros = rng.random(m) < rng.uniform(0.0, 0.1)
+    x[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    return x
+
+
+def _entropy_outcome(fn, x):
+    try:
+        return "ok", fn(x).value
+    except DataError as exc:
+        return "error", str(exc)
+
+
+def test_ties_used_as_they_are_match_the_one_ulp_reference(monkeypatch):
+    # The spacing-window check refuses every sample in which a tie could make
+    # a spacing zero, so moving the remaining ties apart changed no outcome.
+    # Correa's windowed prefix sums cancel: on a tight cluster beside an
+    # atom of zeros its float64 value is up to 2e-8 from a long-double
+    # evaluation, while the ulp moves shift the exact value by under 4e-12.
+    rng = np.random.default_rng(21)
+    rel = {vasicek_entropy: 1e-9, ebrahimi_entropy: 1e-9, correa_entropy: 1e-8}
+    kinds = set()
+    for case in range(1500):
+        x = _rounded_returns(rng)
+        for fn in (vasicek_entropy, ebrahimi_entropy, correa_entropy):
+            got = _entropy_outcome(fn, x)
+            with monkeypatch.context() as patch:
+                patch.setattr(entropy_module, "_prepare", _reference_prepare)
+                expected = _entropy_outcome(fn, x)
+            assert got[0] == expected[0], (case, fn.__name__, got, expected)
+            if got[0] == "ok":
+                tol = rel[fn] * max(1.0, abs(got[1]))
+                assert got[1] == pytest.approx(expected[1], rel=0, abs=tol), (case, fn.__name__)
+            else:
+                assert got[1] == expected[1], (case, fn.__name__)
+            kinds.add(got[0])
+    assert kinds == {"ok", "error"}
+
+
+@pytest.mark.parametrize("fn", [vasicek_entropy, ebrahimi_entropy, correa_entropy])
+def test_a_run_of_n_at_either_end_estimates_and_n_plus_one_is_an_error(fn):
+    # The clamped first window spans x_(1)..x_(n+1), the last x_(m-n)..x_(m).
+    x = np.random.default_rng(22).standard_normal(400)
+    n = default_window(x.size)
+    xs = np.sort(x)
+    for run in (n, n + 1):
+        low = xs.copy()
+        low[:run] = low[0]
+        high = xs.copy()
+        high[-run:] = high[-1]
+        for sample in (low, high):
+            if run == n:
+                assert math.isfinite(fn(sample).value)
+            else:
+                with pytest.raises(DataError, match="sample too degenerate$"):
+                    fn(sample)
 
 
 @pytest.mark.parametrize("fn", [vasicek_entropy, ebrahimi_entropy, correa_entropy])
@@ -142,6 +227,7 @@ def test_an_atom_that_fills_a_spacing_window_is_an_error(fn):
     # 250 or more zeros among 2500 draws fill whole windows of 2n + 1 = 101
     # order statistics; the one-ulp tie rule used to turn them into
     # subnormal spacings and vasicek estimates of -42.6 to -263.8 nats.
+    # Ties that fill no window are used as they are.
     def sample(frac):
         x = np.random.default_rng(0).standard_t(4, 2500)
         x[: int(frac * x.size)] = 0.0
@@ -150,7 +236,8 @@ def test_an_atom_that_fills_a_spacing_window_is_an_error(fn):
     for frac in (0.1, 0.2, 0.4):
         with pytest.raises(DataError, match="sample too degenerate$"):
             fn(sample(frac))
-    with pytest.warns(TieWarning):  # 2% zeros fill no window: an estimate
+    with warnings.catch_warnings():  # 2% zeros fill no window: an estimate
+        warnings.simplefilter("error", TieWarning)
         assert 1.6 < fn(sample(0.02)).value < 1.75
 
 

@@ -6,7 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from tailica.entropy import EntropyEstimatorConfig, entropy_moment_approximation, vasicek_entropy
 from tailica.errors import DataError, TieWarning
+from tailica.evaluate import run_experiment_artifacts
+from tailica.ica import ContrastSpec
 from tailica.moments import (
     _column_moments,
     _pow2_exponents,
@@ -17,6 +20,8 @@ from tailica.moments import (
     moment,
     root_moment,
 )
+from tailica.panel import SamplePanel
+from tailica.tailcov import tail_covariance
 
 
 # Frozen reference values.  Each constant was computed through a route
@@ -198,6 +203,31 @@ def test_moment_rejects_order_below_one():
         moment([1.0, 2.0], 0)
     with pytest.raises(ValueError):
         root_moment([1.0, 2.0], -3)
+
+
+def test_every_order_entry_point_takes_integers_only():
+    x = [1.0, -2.0, 0.5, 3.0, -1.5]
+    panel = SamplePanel(np.array([[1.0, -1.0], [0.0, 2.0], [-1.0, -1.0]]), ("a", "b"),
+                        ("2020-01-01", "2020-01-02", "2020-01-03"))  # fmt: skip
+    orders = {
+        "moment": lambda p: moment(x, p),
+        "root_moment": lambda p: root_moment(x, p),
+        "log_moment": lambda p: log_moment(x, p),
+        "ContrastSpec": lambda p: ContrastSpec(p).k,
+        "tail_covariance": lambda p: tail_covariance(panel, p, check_centered=False).values,
+        "entropy_moment_approximation k": lambda p: entropy_moment_approximation(x, p, 1),
+        "entropy_moment_approximation n": lambda p: entropy_moment_approximation(x, 2, p),
+        "EntropyEstimatorConfig": lambda p: EntropyEstimatorConfig("vasicek", p).window_n,
+        "vasicek_entropy": lambda p: vasicek_entropy(x, p).value,
+    }
+    for name, call in orders.items():
+        with pytest.raises(ValueError, match="must be an integer, got 2.5$"):
+            call(2.5)
+        with pytest.raises(ValueError, match="must be >= 1, got 0$"):
+            call(0)
+        assert np.array_equal(call(2.0), call(2)), name
+    with pytest.raises(ValueError, match="contrast order k must be an integer"):
+        run_experiment_artifacts(panel, "2020-01-02", d=1, k_list=[2, 2.5])
 
 
 def test_log_moment_rejects_all_zero():

@@ -10,9 +10,9 @@ spacing window n (default floor(sqrt(m))), indices clamped to [1, m]:
 * correa:   local linear regression of the order statistics on their
   ranks inside each window.
 
-All values are in nats.  A sample in which one value fills a whole
-spacing window (x_(j+n) == x_(j-n)) is degenerate.  Ties that fill no
-window are used as they are: every window spacing is still positive.
+All values are in nats.  A sample whose window spacing x_(j+n) - x_(j-n)
+is zero (one value fills the window) or subnormal is degenerate.  Ties
+that fill no window are used as they are: every spacing is still positive.
 """
 
 from __future__ import annotations
@@ -86,8 +86,11 @@ def _prepare(sample, n) -> tuple:
     xs = np.sort(x)
     if xs[0] == xs[-1]:
         raise DataError("constant sample: differential entropy undefined")
-    if np.any(_spacings(xs, m, n) == 0.0):
+    smallest = _spacings(xs, m, n).min()
+    if smallest == 0.0:
         raise DataError("one value fills a spacing window; sample too degenerate")
+    if smallest < np.finfo(np.float64).tiny:
+        raise DataError("a window spacing is subnormal; sample too degenerate")
     return xs, m, n
 
 

@@ -11,10 +11,12 @@ tail-independent components, so a converged fit on a sample keeps some.
 
 Each step's one full-size array is the projections, in column order,
 scaled, powered by repeated squaring and multiplied in place a cache-sized
-row block at a time.  ``np.power`` serves an integer exponent through libm
-``pow`` at dozens of times the cost; the powers differ from it in their last
-bits, which a step that needs only a direction tolerates, while ``moments``
-and ``tailcov``, which promise bitwise results, keep it.
+row block at a time.  ``np.power`` takes a negative base through a scalar
+path at dozens of times the cost.  ``moments`` and ``tailcov``, which
+promise bitwise results, power magnitudes in its vector kernel, still
+3-5 ns an element against about 1.5 ns for repeated squaring at p = 18.
+The squared powers differ in their last bits, which a step that needs
+only a direction tolerates.
 
 Each step orthogonalizes with one SVD of the update, rescaled by a power
 of two.  Its singular values also decide whether the update is rank

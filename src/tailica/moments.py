@@ -5,7 +5,10 @@ by a power of two bracketing the max absolute value, so every term of the
 sum has magnitude at most one, and the exact power-of-two prefactor is
 reapplied with ``math.ldexp``.  Rescaling by a power of two is exact in
 IEEE arithmetic, so results match direct summation bit for bit whenever
-direct summation would not overflow.
+direct summation would not overflow.  The direct form powers ``abs(x)``
+and restores the sign of ``x`` for odd ``p``: ``x ** p`` rounded at most
+one ulp apart.  The cold paths, :func:`log_moment` and the underflow
+rescue in ``_finish``, power ``x`` itself.
 """
 
 from __future__ import annotations
@@ -75,16 +78,20 @@ def extremes(sample) -> SampleExtremes:
 
 
 def _scaled_powers(x: np.ndarray, p: int):
-    """``ldexp(x, -exp2) ** p`` and ``exp2``: each column scaled by a power of
-    two into (-1, 1), so no power overflows, then raised to ``p``.
+    """``abs(r) ** p``, with the sign of ``x`` for odd ``p``, and ``exp2``: the
+    ratios ``r = ldexp(x, -exp2)`` lie in (-1, 1), so no power overflows.
 
-    The ratios are powered in place in one F-ordered array, the call's one
-    temporary the size of ``x``, so each column is summed bit for bit as a
-    contiguous 1-d sample would be."""
+    Magnitudes keep ``np.power`` in its vector kernel (a negative base takes
+    a scalar path at over ten times the cost).  They are powered in place in
+    one F-ordered array, the call's one temporary the size of ``x``, so each
+    column is summed bit for bit as a contiguous 1-d sample would be."""
     exp2 = _pow2_exponents(x)
     powers = np.empty(x.shape, order="F")
     np.ldexp(x, -exp2, out=powers)
+    np.abs(powers, out=powers)
     powers **= p
+    if p % 2 == 1:
+        np.copysign(powers, x, out=powers)
     return powers, exp2
 
 

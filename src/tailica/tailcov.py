@@ -67,8 +67,9 @@ def tail_covariance(
     check for raw mixed-moment use (diagnostics on uncentered series).
     Each power column is rescaled by an exact power of two bracketing its
     max absolute value before summation, so sums never overflow and match
-    direct evaluation bit for bit when the direct form is in range.  An
-    entry beyond the float64 range raises :class:`NumericalError`.
+    direct evaluation bit for bit when the direct form (``abs(s_j)`` powered,
+    the sign of ``s_j`` restored) is in range.  An entry beyond the float64
+    range raises :class:`NumericalError`.
     """
     k = _check_order(k, "order k")
     data = components.data

@@ -241,6 +241,16 @@ def test_an_atom_that_fills_a_spacing_window_is_an_error(fn):
         assert 1.6 < fn(sample(0.02)).value < 1.75
 
 
+@pytest.mark.parametrize("fn", [vasicek_entropy, ebrahimi_entropy, correa_entropy])
+def test_a_subnormal_spacing_window_is_an_error(fn):
+    # 75 draws each at 5e-324, -5e-324 and 0.0 fill no window of 101 order
+    # statistics but give 125 subnormal spacings; vasicek read -35.4 nats
+    x = np.random.default_rng(0).standard_t(4, 2500)
+    x[:75], x[75:150], x[150:225] = 5e-324, -5e-324, 0.0
+    with pytest.raises(DataError, match="^a window spacing is subnormal; sample too degenerate$"):
+        fn(x)
+
+
 def test_constant_sample_is_error():
     with pytest.raises(DataError):
         vasicek_entropy([3.0, 3.0, 3.0, 3.0], 1)

@@ -4,18 +4,22 @@ Every imported name in a ``tailica`` module is used, every private
 top-level name is referenced in the package besides its definition, every
 name a module exports in ``__all__`` exists, and the package imports nothing
 beyond the standard library and numpy, and no module that starts threads or
-processes.  Every ``open()`` names its encoding.
+processes.  Every ``open()`` names its encoding.  Every benchmark record
+``BENCH_<n>.json`` that the documents or the package cite is committed.
 """
 
 import ast
 import importlib
+import json
 import pathlib
+import re
 import sys
 
 import tailica
 
 SRC = pathlib.Path(tailica.__file__).parent
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+ROOT = SRC.parents[1]
 
 
 def test_no_unused_imports():
@@ -110,3 +114,18 @@ def test_every_open_names_an_encoding():
                 if not any(keyword.arg == "encoding" for keyword in node.keywords):
                     bare.append(f"{path.name}:{node.lineno}")
     assert not bare, "open() without encoding=: " + ", ".join(bare)
+
+
+def test_every_cited_benchmark_record_exists_and_loads():
+    # a speed claim counts only if the record it cites is committed
+    texts = [ROOT / name for name in ("README.md", "ROADMAP.md", "CHANGES.md")]
+    texts += sorted(SRC.glob("*.py"))
+    cited = {name for path in texts for name in re.findall(r"BENCH_\d+\.json", path.read_text(encoding="utf-8"))}
+    assert cited, "no benchmark record cited"
+    broken = []
+    for name in sorted(cited):
+        try:
+            json.loads((ROOT / name).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            broken.append(f"{name} ({type(exc).__name__})")
+    assert not broken, "cited benchmark records missing or not JSON: " + ", ".join(broken)

@@ -1,6 +1,7 @@
 """Tests for high-order moment and signed-root summaries."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -43,11 +44,31 @@ def test_moment_small_integer_case():
     assert moment([3.0, -1.0, 2.0], 3) == MOMENT_3_1_2_P3
 
 
+def signed_magnitude_power(x, p):
+    """``abs(x) ** p`` with the sign of ``x`` for odd ``p``: the direct form."""
+    powers = np.abs(x) ** p
+    return np.copysign(powers, x) if p % 2 == 1 else powers
+
+
 def test_moment_matches_direct_mean_in_range():
     rng = np.random.default_rng(7)
     x = rng.standard_t(df=4, size=400)
     for p in (2, 3, 6, 11):
-        assert moment(x, p) == np.mean(x**p)
+        assert moment(x, p) == np.mean(signed_magnitude_power(x, p))
+
+
+def test_signed_and_magnitude_powers_differ_by_at_most_one_ulp():
+    # x ** p and the direct form are the same real number, rounded apart in
+    # a few percent of elements (16 of 400 at p = 3 in the test above)
+    rng = np.random.default_rng(8)
+    x = rng.standard_t(df=4, size=20_000)
+    x = np.ldexp(x, -_pow2_exponents(x))  # ratios in (-1, 1), as the kernel powers
+    for p in (*range(2, 40), 57, 116, 233, 2000, 2001):
+        signed, direct = x**p, signed_magnitude_power(x, p)
+        near = (signed == direct) | (np.nextafter(signed, np.inf) == direct)
+        near |= np.nextafter(signed, -np.inf) == direct
+        assert near.all(), p
+        assert np.array_equal(np.signbit(signed), np.signbit(direct)), p
 
 
 def test_moment_overflow_saturates_to_inf():
@@ -261,6 +282,44 @@ def test_pow2_scale_matches_the_abs_max_form():
         assert np.array_equal(exp2, want_exp2)
         assert np.array_equal(ratios, want)
         assert np.array_equal(np.signbit(ratios), np.signbit(want))
+
+
+def mixed_sign_panel(m=400):
+    """Mixed-sign columns with signed zeros, subnormals and an all-negative column."""
+    rng = np.random.default_rng(32)
+    x = rng.standard_t(df=4, size=(m, 5)) * np.array([1.0, 1e-3, 3e-310, 1e200, 2.5])
+    x[::3, 0] = 0.0
+    x[1::3, 0] = -0.0
+    x[:6, 1] = [5e-324, -5e-324, -1e-310, 2.2e-308, -0.0, 0.0]  # subnormal entries
+    x[:, 4] = -np.abs(x[:, 4])  # all negative
+    return x
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 19, 20, 116, 2001])
+def test_scaled_powers_are_the_direct_form_of_the_ratios(p):
+    x = mixed_sign_panel()
+    for sample in (x, np.asfortranarray(x)):
+        exp2 = _pow2_exponents(sample)
+        ratios = np.ldexp(sample, -exp2)
+        want = signed_magnitude_power(ratios, p)  # the ratios themselves at p = 1
+        assert p > 1 or np.array_equal(want, ratios)
+        powers, got_exp2 = _scaled_powers(sample, p)
+        assert np.array_equal(got_exp2, exp2)
+        assert np.array_equal(powers, want)
+        assert np.array_equal(np.signbit(powers), np.signbit(want))
+        if p % 2 == 1:  # a -0.0 stays -0.0
+            assert np.array_equal(np.signbit(powers), np.signbit(sample))
+
+
+def test_scaled_powers_allocate_only_their_result():
+    x = np.random.default_rng(34).standard_t(df=4, size=(100_000, 30))
+    for sample in (x, np.asfortranarray(x)):
+        for p in (3, 4):
+            tracemalloc.start()
+            _scaled_powers(sample, p)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 1.01 * sample.nbytes, (p, peak / sample.nbytes)
 
 
 def kernel_columns(m=9000):

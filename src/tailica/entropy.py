@@ -38,9 +38,6 @@ __all__ = [
     "default_window",
 ]
 
-_METHODS = ("vasicek", "ebrahimi", "correa")
-
-
 @dataclass(frozen=True)
 class EntropyEstimatorConfig:
     """Estimator choice plus spacing window; window None means floor(sqrt(m))."""
@@ -49,8 +46,8 @@ class EntropyEstimatorConfig:
     window_n: int = None
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method not in _ESTIMATORS:
+            raise ValueError(f"method must be one of {tuple(_ESTIMATORS)}, got {self.method!r}")
         if self.window_n is not None:
             _check_order(self.window_n, "window_n")
 

@@ -20,7 +20,7 @@ import numpy as np
 from .entropy import EntropyEstimatorConfig, estimate_entropy
 from .errors import DataError, DroppedDataWarning
 from .ica import ContrastSpec, UnmixingMatrix, fit_ica, kkt_residual, transform
-from .moments import _as_sample, _column_moments, _power_means
+from .moments import _as_sample, _column_moments
 from .panel import BucketSplit, SamplePanel, _check_date, _csv_text, split_buckets
 from .whiten import WhiteningTransform, apply_whitening, fit_whitening
 
@@ -223,10 +223,9 @@ def build_tail_report(components: SamplePanel, k: int, bucket: str) -> TailRepor
     data = components.data
     order = 2 * int(k)
     quantiles = np.quantile(data, QUANTILE_LEVELS, axis=0)
-    sums = {p: _power_means(data, p) for p in {2, 4, order}}  # one order-4 sum at k=2
-    roots = np.array(_column_moments(data, order, sums[order], root=True))
-    m2 = np.array(_column_moments(data, 2, sums[2]))
-    m4 = np.array(_column_moments(data, 4, sums[4]))
+    roots = np.array(_column_moments(data, order, root=True))
+    m2 = np.array(_column_moments(data, 2))
+    m4 = np.array(_column_moments(data, 4))
     if np.any(m2 == 0.0):
         raise DataError("constant component column; kurtosis undefined")
     kurtosis = m4 / m2**2 - 3.0

@@ -215,9 +215,12 @@ def fit_ica(
         # stands, and well-conditioned updates keep the fast local
         # convergence of the plain iteration.
         update = np.ldexp(update, -np.frexp(size)[1])
-        u, s, vt = np.linalg.svd(update)
-        if s[-1] ** 2 <= 1e-12 * s[0] ** 2:
-            u, _, vt = np.linalg.svd(update + 2.0 * s[0] * w)
+        try:
+            u, s, vt = np.linalg.svd(update)
+            if s[-1] ** 2 <= 1e-12 * s[0] ** 2:
+                u, _, vt = np.linalg.svd(update + 2.0 * s[0] * w)
+        except np.linalg.LinAlgError:  # a ValueError, which the CLI reads as usage
+            raise NumericalError(f"SVD for contrast order k={k} did not converge at iteration {iterations}") from None
         w_new = u @ vt
         alignment = np.abs(np.sum(w_new * w, axis=0))
         delta = 1.0 - float(alignment.min())

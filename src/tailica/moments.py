@@ -95,17 +95,10 @@ def _scaled_powers(x: np.ndarray, p: int):
     return powers, exp2
 
 
-def _power_means(x: np.ndarray, p: int):
-    """Each column's mean of ``_scaled_powers``, and ``exp2``: the order-p
-    moment is ``ldexp(mean, exp2 * p)``."""
-    powers, exp2 = _scaled_powers(x, p)
-    return powers.mean(axis=0), exp2
-
-
-def _column_moments(x: np.ndarray, p: int, sums=None, root: bool = False) -> list:
+def _column_moments(x: np.ndarray, p: int, root: bool = False) -> list:
     """Each column's order-p moment of a 2-d ``x``, or with ``root`` its signed
-    root (see :func:`moment` and :func:`root_moment`); ``sums`` is
-    ``_power_means(x, p)`` where the caller has it, unused for a tied column."""
+    root (see :func:`moment` and :func:`root_moment`).  The order-p moment is
+    ``ldexp(mean, exp2 * p)`` from the column's mean of ``_scaled_powers``."""
     if root and p % 2 == 1:
         x_max = x.max(axis=0)
         tied = (x_max == -x.min(axis=0)) & (x_max > 0.0)
@@ -113,14 +106,14 @@ def _column_moments(x: np.ndarray, p: int, sums=None, root: bool = False) -> lis
             message = "max and min sample values are exact opposites; odd-order root moment"
             message += " is ambiguous, returning the even-style absolute root"
             warnings.warn(message, TieWarning, stacklevel=3)
-            x, sums = np.where(tied, np.abs(x), x), None
-    means, exp2 = _power_means(x, p) if sums is None else sums
-    columns = enumerate(zip(means.tolist(), exp2.tolist()))
+            x = np.where(tied, np.abs(x), x)
+    powers, exp2 = _scaled_powers(x, p)
+    columns = enumerate(zip(powers.mean(axis=0).tolist(), exp2.tolist()))
     return [_finish(s, e, x[:, j], p, root) for j, (s, e) in columns]
 
 
 def _finish(s: float, e: int, column: np.ndarray, p: int, root: bool) -> float:
-    """A column's moment, or its root, from its ``_power_means`` entry."""
+    """A column's moment, or its root, from its mean of ``_scaled_powers``."""
     if s == 0.0:
         # Every rescaled term underflowed, or the column is zero: normalize
         # by x_inf so that the dominant ratio is exactly +-1.

@@ -280,6 +280,11 @@ _CHUNK = 1 << 16  # characters per read of a long CSV, then to the end of that l
 _BATCH = 1 << 11  # records per batch when csv.reader parses a long CSV
 
 
+def _is_long_header(header: list) -> bool:
+    """Whether a header row, as ``csv.reader`` splits it, is the long layout's."""
+    return [cell.strip().lower() for cell in header] == ["date", "symbol", "return"]
+
+
 class _LongRows:
     """A long CSV's data rows as columns: date and symbol codes, and values.
 
@@ -420,7 +425,7 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
             raise DataError(f"line 1: {exc}") from None
         if header is None:
             raise DataError("empty input file")
-        if [h.strip().lower() for h in header] != ["date", "symbol", "return"]:
+        if not _is_long_header(header):
             raise DataError(f"expected header date,symbol,return, got {header!r}")
         while text := handle.read(_CHUNK):
             text += handle.readline()

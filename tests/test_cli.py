@@ -13,8 +13,8 @@ import tailica.cli as cli
 from tailica.cli import main
 from tailica.errors import DroppedDataWarning, NumericalError, TieWarning
 from tailica.ica import unmixing_from_csv
-from tailica.panel import SamplePanel, read_wide_csv, write_wide_csv
-from tailica.tailcov import tail_covariance
+from tailica.panel import SamplePanel, center, read_wide_csv, write_wide_csv
+from tailica.tailcov import tail_covariance, tail_covariance_to_csv
 from tailica.whiten import fit_whitening, whitening_from_csv, whitening_to_csv
 
 SYNTH_SMALL = ["--assets", "8", "--samples", "400", "--seed", "1"]
@@ -287,13 +287,23 @@ def test_tailcov_matches_library(tmp_path, market_csv, capsys):
     rc = main(["tailcov", "--input", str(market_csv), "--k", "2"])
     assert rc == 0
     text = capsys.readouterr().out
-    from tailica.panel import center
-
     panel = center(read_wide_csv(market_csv))
     want = tail_covariance(panel, 2)
     first_row = text.strip().split("\n")[1].split(",")
     assert first_row[0] == "S0001"
     assert float(first_row[1]) == want.values[0, 0]
+
+
+def test_tailcov_takes_its_own_centering(tmp_path, capsys):
+    # centering A's 1e10 offset leaves a mean that the library's check rejects
+    rng = np.random.default_rng(0)
+    data = np.column_stack([1e10 + rng.standard_normal(2000), rng.standard_normal(2000)])
+    dates = tuple((datetime.date(2000, 1, 1) + datetime.timedelta(days=i)).isoformat() for i in range(2000))
+    path = tmp_path / "offset.csv"
+    write_wide_csv(SamplePanel(data, ("A", "B"), dates), path)
+    assert main(["tailcov", "--input", str(path), "--k", "2"]) == 0
+    want = tail_covariance(center(read_wide_csv(path)), 2, check_centered=False)
+    assert capsys.readouterr().out == tail_covariance_to_csv(want)
 
 
 def test_scatter_writes_records(tmp_path, market_csv):
@@ -530,6 +540,19 @@ def test_numerical_error_exit_code(monkeypatch, tmp_path, market_csv, capsys):
     assert rc == 3
     assert not (tmp_path / "r").exists()
     assert "numerical error" in capsys.readouterr().err
+
+
+def test_non_converging_svd_exits_as_a_numerical_error(monkeypatch, tmp_path, market_csv, capsys):
+    # numpy's LinAlgError is a ValueError, which main reports as a usage error
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    argv = ["fit", "--input", str(market_csv), "--boundary", "2014-07-20", "--d", "4", "--k", "2"]
+    argv += ["--out", str(tmp_path / "r")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "tailica: numerical error: SVD for contrast order k=2 did not converge at iteration 1" in err
 
 
 def test_overflowing_fit_is_a_numerical_error(tmp_path, capsys):

@@ -248,6 +248,25 @@ def test_amari_index_error_cases():
         amari_index(np.eye(2), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_non_converging_svd_raises_numerical_error(monkeypatch, failing_call):
+    # numpy's LinAlgError is a ValueError, which the CLI reports as a usage error
+    z, _ = whitened(np.random.default_rng(82).laplace(size=(2000, 3)))
+    svd, calls = np.linalg.svd, []
+
+    def flaky_svd(a):
+        calls.append(a)
+        if len(calls) == failing_call:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        u, s, vt = svd(a)
+        s[-1] = 0.0  # rank-deficient, so the shifted update takes the second SVD
+        return u, s, vt
+
+    monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+    with pytest.raises(NumericalError, match="k=2 did not converge at iteration 1$"):
+        fit_ica(z, ContrastSpec(2), seed=0)
+
+
 def test_amari_index_monotone_in_mixing():
     # partial mixing should score between perfect recovery and total blur
     light = np.eye(3) + 0.1

@@ -2,9 +2,9 @@
 
 Every imported name in a ``tailica`` module is used, every private
 top-level name is referenced in the package besides its definition, every
-name a module exports in ``__all__`` exists, and the package imports nothing
-beyond the standard library and numpy, and no module that starts threads or
-processes.  Every ``open()`` names its encoding.  Every benchmark record
+name a module exports in ``__all__`` exists and ``tailica`` exports exactly
+those names, and the package imports nothing beyond the standard library
+and numpy, and no module that starts threads or processes.  Every ``open()`` names its encoding.  Every benchmark record
 ``BENCH_<n>.json`` that the documents or the package cite is committed.
 """
 
@@ -71,6 +71,17 @@ def test_all_entries_resolve():
         if not hasattr(module, name)
     ]
     assert not missing, "stale __all__ entries: " + ", ".join(missing)
+
+
+def test_package_exports_each_library_modules_all():
+    # each module's __all__ is the one declaration of the public API; errors.py,
+    # which has none, exports its public classes, and cli.py is the entry point
+    exported = {"__version__"}
+    for path in MODULES:
+        if path.stem != "cli":
+            module = importlib.import_module(f"tailica.{path.stem}")
+            exported.update(getattr(module, "__all__", [name for name in vars(module) if not name.startswith("_")]))
+    assert set(tailica.__all__) == exported
 
 
 def test_runtime_imports_only_the_standard_library_and_numpy():

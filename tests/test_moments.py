@@ -14,7 +14,6 @@ from tailica.ica import ContrastSpec
 from tailica.moments import (
     _column_moments,
     _pow2_exponents,
-    _power_means,
     _scaled_powers,
     extremes,
     log_moment,
@@ -340,7 +339,7 @@ def kernel_columns(m=9000):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 10, 20, 2000, 2001])
 def test_column_kernel_matches_the_one_column_functions(p):
     x = kernel_columns()
-    assert _power_means(x[:, 1:2], 2000)[0][0] == 0.0  # the rescue path is taken
+    assert _scaled_powers(x[:, 1:2], 2000)[0].mean(axis=0)[0] == 0.0  # the rescue path is taken
     d = x.shape[1]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -359,20 +358,11 @@ def test_power_means_sum_each_column_as_a_contiguous_sample(p):
     # an F-ordered reduction sums each column pairwise, as np.mean does a
     # 1-d array, across pairwise blocks (9000 rows) and on C-ordered input
     x = kernel_columns()
-    means, exp2 = _power_means(x, p)
+    powers, exp2 = _scaled_powers(x, p)
+    means = powers.mean(axis=0)
     for j in range(x.shape[1]):
         e = _pow2_exponents(x[:, j])
         ratios = np.ldexp(x[:, j], -e)
         assert exp2[j] == e
         assert means[j] == np.mean(ratios**p)
-    assert np.array_equal(_power_means(np.asfortranarray(x), p)[0], means)
-
-
-def test_column_kernel_reuses_given_sums_and_retakes_tied_ones():
-    x = kernel_columns(300)
-    for p in (2, 4, 3):
-        sums = _power_means(x, p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TieWarning)
-            assert _column_moments(x, p, sums, root=True) == _column_moments(x, p, root=True)
-        assert _column_moments(x, p, sums) == _column_moments(x, p)
+    assert np.array_equal(_scaled_powers(np.asfortranarray(x), p)[0].mean(axis=0), means)

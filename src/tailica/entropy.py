@@ -75,6 +75,8 @@ def _window(m: int, n) -> int:
 
 
 def _prepare(sample, n) -> tuple:
+    """The sorted sample padded with n copies of each extreme, its clamped
+    window spacings x_(j+n) - x_(j-n), m and n; refuses degenerate windows."""
     x = _as_sample(sample)
     if x.size < 3:
         raise DataError(f"entropy estimation needs at least 3 observations, got {x.size}")
@@ -83,33 +85,24 @@ def _prepare(sample, n) -> tuple:
     xs = np.sort(x)
     if xs[0] == xs[-1]:
         raise DataError("constant sample: differential entropy undefined")
-    smallest = _spacings(xs, m, n).min()
+    xp = np.concatenate([np.repeat(xs[:1], n), xs, np.repeat(xs[-1:], n)])
+    spac = xp[2 * n :] - xp[:m]
+    smallest = spac.min()
     if smallest == 0.0:
         raise DataError("one value fills a spacing window; sample too degenerate")
     if smallest < np.finfo(np.float64).tiny:
         raise DataError("a window spacing is subnormal; sample too degenerate")
-    return xs, m, n
-
-
-def _padded(xs: np.ndarray, n: int) -> np.ndarray:
-    return np.concatenate([np.repeat(xs[:1], n), xs, np.repeat(xs[-1:], n)])
-
-
-def _spacings(xs: np.ndarray, m: int, n: int) -> np.ndarray:
-    xp = _padded(xs, n)
-    return xp[2 * n :] - xp[:m]
+    return xp, spac, m, n
 
 
 def vasicek_entropy(sample, n: int = None) -> EntropyEstimate:
-    xs, m, n = _prepare(sample, n)
-    spac = _spacings(xs, m, n)
+    _, spac, m, n = _prepare(sample, n)
     value = float(np.sum(np.log((m + 1) / (2 * n) * spac)) / (m + 1))
     return EntropyEstimate(value, "vasicek", n, m)
 
 
 def ebrahimi_entropy(sample, n: int = None) -> EntropyEstimate:
-    xs, m, n = _prepare(sample, n)
-    spac = _spacings(xs, m, n)
+    _, spac, m, n = _prepare(sample, n)
     j = np.arange(1, m + 1)
     c = np.full(m, 2.0)
     c[j <= n] = 1.0 + (j[j <= n] - 1) / n
@@ -125,20 +118,18 @@ def correa_entropy(sample, n: int = None) -> EntropyEstimate:
     rank offsets -n..n; H = -mean(ln(slope_i / m)).  Windowed sums are
     taken from prefix sums so the whole estimate is O(m).
     """
-    xs, m, n = _prepare(sample, n)
-    xs = xs - xs.mean()  # bounds cancellation in the windowed sums below
-    xp = _padded(xs, n)
+    xp, _, m, n = _prepare(sample, n)
+    xp = xp - xp[n : n + m].mean()  # bounds cancellation in the windowed sums below
     w = 2 * n + 1
     t = np.arange(xp.size, dtype=np.float64)
     cum1 = np.concatenate([[0.0], np.cumsum(xp)])
     cum2 = np.concatenate([[0.0], np.cumsum(xp * xp)])
     cumt = np.concatenate([[0.0], np.cumsum(t * xp)])
-    idx = np.arange(m)
-    s1 = cum1[idx + w] - cum1[idx]  # sum of window values
-    s2 = cum2[idx + w] - cum2[idx]  # sum of squared window values
-    st = cumt[idx + w] - cumt[idx]  # sum of (padded index * value)
+    s1 = cum1[w:] - cum1[:-w]  # sum of window values
+    s2 = cum2[w:] - cum2[:-w]  # sum of squared window values
+    st = cumt[w:] - cumt[:-w]  # sum of (padded index * value)
     # numerator sum((x - xbar) * (j - i)) = sum over offsets of offset * x
-    num = st - (idx + n) * s1
+    num = st - t[n : n + m] * s1
     ss = s2 - s1 * s1 / w  # sum((x - xbar)^2)
     if np.any(ss <= 0.0):
         raise DataError("zero local variance window; sample too degenerate")

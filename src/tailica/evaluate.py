@@ -138,14 +138,15 @@ class SyntheticMarketSpec:
         if not (0.0 <= blo <= bhi <= 1.0):
             raise DataError(f"loading_range must lie in [0, 1], got {self.loading_range}")
         vlo, vhi = self.vol_range
-        if not (0.0 < vlo <= vhi):
-            raise DataError(f"vol_range must be positive, got {self.vol_range}")
+        if not (0.0 < vlo <= vhi < math.inf):
+            raise DataError(f"vol_range must be positive and finite, got {self.vol_range}")
         for name in ("tremor_prob", "crash_prob", "crash_start"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise DataError(f"{name} must lie in [0, 1], got {value}")
-        if self.tremor_scale < 0.0 or self.crash_scale < 0.0:
-            raise DataError("tremor_scale and crash_scale must be non-negative")
+        for name in ("tremor_scale", "crash_scale"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
         start = datetime.date.fromisoformat(_check_date(self.start_date, "start_date"))
         if start.toordinal() + int(self.m_samples) - 1 > datetime.date.max.toordinal():
             raise DataError(f"{self.m_samples} daily rows from {self.start_date} run past 9999-12-31")

@@ -408,8 +408,8 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
 
     The file is read in chunks of whole lines, split at commas and checked
     a column at a time, each distinct spelling once.  From the first chunk
-    with a double quote, a carriage return, a NUL, a line of other than
-    three fields or one as long as csv's field limit, to the end of the file,
+    with a double quote, a carriage return, a NUL, a non-blank line of other
+    than three fields or one as long as csv's field limit, to the end of the file,
     ``csv.reader`` parses the records (where a lone carriage return ends a
     line, as with ``newline=""``).  Memory beyond one chunk is 16 bytes a
     row, two int32 codes and the value, and 8 more while the cells are

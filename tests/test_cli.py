@@ -522,6 +522,22 @@ def test_data_error_exit_codes(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_of_range_parameters_exit_with_their_names(tmp_path, capsys):
+    # tol >= 1 would stop every fit after one step, and nan would run it to the cap.
+    small = ["--assets", "8", "--samples", "400", "--d", "4", "--k", "2"]
+    for tol in ("nan", "inf", "1"):
+        out = tmp_path / f"tol_{tol}"
+        assert main(["eval", *small, "--tol", tol, "--out", str(out)]) == 1
+        assert "tailica: usage error: tol must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+    for flag, field in [("--vol-max", "vol_range"), ("--crash-scale", "crash_scale"), ("--tremor-scale", "tremor_scale")]:
+        out = tmp_path / "m.csv"
+        for bad in ("inf", "nan"):
+            assert main(["synth", *SYNTH_SMALL, flag, bad, "--out", str(out)]) == 2
+            assert f"tailica: data error: {field} must be " in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_numerical_error_exit_code(monkeypatch, tmp_path, market_csv, capsys):
     def boom(*args, **kwargs):
         raise NumericalError("synthetic failure")

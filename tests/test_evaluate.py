@@ -230,6 +230,20 @@ def test_market_spec_validation():
         SyntheticMarketSpec(m_samples=4, start_date="9999-12-29")
 
 
+def test_market_spec_names_a_non_finite_scale():
+    # rng.uniform overflows on an infinite vol bound; a nan scale passed every check
+    for name, bad in [
+        ("vol_range", (0.7, math.inf)),
+        ("vol_range", (math.nan, 1.4)),
+        ("tremor_scale", math.inf),
+        ("crash_scale", math.nan),
+    ]:
+        with pytest.raises(DataError, match=f"^{name} must be (positive|non-negative) and finite"):
+            SyntheticMarketSpec(**{name: bad})
+    gaussian = SyntheticMarketSpec(n_assets=2, m_samples=5, nu_range=(math.inf, math.inf), nu_factor=math.inf)
+    assert np.all(np.isfinite(generate_market(gaussian).data))
+
+
 def test_equal_weight_portfolio_is_row_mean():
     p = panel_from([[1.0, 3.0], [2.0, -2.0], [0.0, 5.0]])
     np.testing.assert_array_equal(equal_weight_portfolio(p), [2.0, 0.0, 2.5])

@@ -135,6 +135,10 @@ def test_fit_parameter_validation():
     z, _ = whitened(rng.standard_normal((300, 2)))
     with pytest.raises(ValueError):
         fit_ica(z, ContrastSpec(2), seed=0, tol=0.0)
+    # 1 - min|cos| < tol holds at the first step for tol >= 1, and never for nan
+    for tol in (1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+            fit_ica(z, ContrastSpec(2), seed=0, tol=tol)
     with pytest.raises(ValueError):
         fit_ica(z, ContrastSpec(2), seed=0, max_iter=0)
 

@@ -13,6 +13,8 @@ spacing window n (default floor(sqrt(m))), indices clamped to [1, m]:
 All values are in nats.  A sample whose window spacing x_(j+n) - x_(j-n)
 is zero (one value fills the window) or subnormal is degenerate.  Ties
 that fill no window are used as they are: every spacing is still positive.
+A non-finite estimate is a ``DataError`` (vasicek and ebrahimi overflow
+near 1e306 times a unit sample); correa stays finite at any finite scale.
 """
 
 from __future__ import annotations
@@ -54,12 +56,17 @@ class EntropyEstimatorConfig:
 
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """Entropy value in nats plus the metadata of the producing call."""
+    """Entropy value in nats plus the metadata of the producing call; a
+    non-finite value is a ``DataError``."""
 
     value: float
     method: str
     window_n: int
     m: int
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise DataError(f"{self.method} entropy is {self.value}: its window spacings leave float64's range")
 
 
 def default_window(m: int) -> int:
@@ -116,10 +123,14 @@ def correa_entropy(sample, n: int = None) -> EntropyEstimate:
 
     For each rank i, regress the clamped window x_(i-n)..x_(i+n) on the
     rank offsets -n..n; H = -mean(ln(slope_i / m)).  Windowed sums are
-    taken from prefix sums so the whole estimate is O(m).
+    taken from prefix sums so the whole estimate is O(m), over the sample
+    scaled exactly by 2**-e, e its max-abs frexp exponent, so no square
+    overflows.
     """
     xp, _, m, n = _prepare(sample, n)
-    xp = xp - xp[n : n + m].mean()  # bounds cancellation in the windowed sums below
+    e = int(np.frexp(max(-xp[0], xp[-1]))[1])
+    xp = np.ldexp(xp, -e)
+    xp -= xp[n : n + m].mean()  # bounds cancellation in the windowed sums below
     w = 2 * n + 1
     t = np.arange(xp.size, dtype=np.float64)
     cum1 = np.concatenate([[0.0], np.cumsum(xp)])
@@ -135,7 +146,7 @@ def correa_entropy(sample, n: int = None) -> EntropyEstimate:
         raise DataError("zero local variance window; sample too degenerate")
     if np.any(num <= 0.0):
         raise DataError("non-positive local slope; sample too degenerate")
-    value = float(-np.mean(np.log(num / (m * ss))))
+    value = float(-np.mean(np.log(np.ldexp(num / (m * ss), -e))))
     return EntropyEstimate(value, "correa", n, m)
 
 

@@ -153,6 +153,18 @@ def _raw_update(y: np.ndarray, w: np.ndarray, k: int) -> np.ndarray:
         return grad - w * damp[np.newaxis, :]
 
 
+def _svd(a: np.ndarray, k: int, iteration: int) -> tuple:
+    """U, s, V' of ``a``; if LAPACK cannot finish, of ``a.T`` = V S U'."""
+    try:
+        return np.linalg.svd(a)
+    except np.linalg.LinAlgError:  # a ValueError, which the CLI reads as usage
+        try:
+            v, s, ut = np.linalg.svd(a.T)
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"SVD for contrast order k={k} did not converge at iteration {iteration}") from None
+        return ut.T, s, v.T
+
+
 def _check_white(panel: SamplePanel) -> None:
     data = panel.data
     cov = data.T @ data / len(data)
@@ -181,6 +193,9 @@ def fit_ica(
     raw update vanishes, as when the data carry no order-2k structure to
     improve on (the quadratic contrast on exactly white data).  On hitting
     ``max_iter`` the last iterate is returned with ``converged=False``.
+    An SVD that LAPACK cannot finish is retried on the transpose, which has
+    the same singular values with U and V swapped; only when both fail is
+    it a ``NumericalError``.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
@@ -221,12 +236,9 @@ def fit_ica(
         # stands, and well-conditioned updates keep the fast local
         # convergence of the plain iteration.
         update = np.ldexp(update, -np.frexp(size)[1])
-        try:
-            u, s, vt = np.linalg.svd(update)
-            if s[-1] ** 2 <= 1e-12 * s[0] ** 2:
-                u, _, vt = np.linalg.svd(update + 2.0 * s[0] * w)
-        except np.linalg.LinAlgError:  # a ValueError, which the CLI reads as usage
-            raise NumericalError(f"SVD for contrast order k={k} did not converge at iteration {iterations}") from None
+        u, s, vt = _svd(update, k, iterations)
+        if s[-1] ** 2 <= 1e-12 * s[0] ** 2:
+            u, _, vt = _svd(update + 2.0 * s[0] * w, k, iterations)
         w_new = u @ vt
         alignment = np.abs(np.sum(w_new * w, axis=0))
         delta = 1.0 - float(alignment.min())

@@ -79,7 +79,7 @@ def _check_rows(rows: tuple) -> _RowIndex:
     m = len(rows)
     text = ("\n".join(rows) + "\n").encode("ascii", "replace")  # a byte per character
     raw = np.frombuffer(text, np.uint8)
-    if not (raw.size == 11 * m and np.all(raw[10::11] == ord("\n")) and text.count(b"\n") == m):
+    if not (raw.size == 11 * m and np.all(raw[10::11] == ord("\n"))):
         for row in rows:  # a row is not 10 characters or holds a newline: one raises
             _check_date(row, "row id")
     digits = raw.reshape(m, 11)[:, :10].T.copy()  # a row per character position
@@ -100,9 +100,9 @@ def _check_rows(rows: tuple) -> _RowIndex:
     feb29 = np.flatnonzero((month == 2) & (day == 29))
     leap = year[feb29]
     ok[feb29] &= (leap % 4 == 0) & ((leap % 100 != 0) | (leap % 400 == 0))
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        _check_date(rows[int(bad[0])], "row id")
+    if not ok.all():  # the first bad row raises, also one whose newline shifts the records
+        for row in rows:
+            _check_date(row, "row id")
     key = year.astype(np.int32)
     for field in (month, day):
         key *= 100
@@ -330,22 +330,15 @@ class _LongRows:
 
     def add_lines(self, text: str) -> bool:
         """Add whole lines that hold no quote, CR or NUL, or return False, adding
-        nothing, if csv.reader must read one: a line that is not blank and
-        has other than three fields, or one as long as csv's field limit."""
+        nothing, if csv.reader must read one: a line of other than three fields,
+        blank ones included, or one as long as csv's field limit."""
         text += "" if text.endswith("\n") else "\n"
         raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-        ends = np.flatnonzero(raw == ord("\n"))
-        if np.diff(ends, prepend=-1).max() > csv.field_size_limit():  # bytes, with the newline
+        starts = np.r_[0, np.flatnonzero(raw[:-1] == ord("\n")) + 1]
+        commas = np.add.reduceat(raw == ord(","), starts, dtype=np.intp)
+        # a line's bytes with its newline, so one as long as the limit is refused
+        if np.any(commas != 2) or np.diff(starts, append=raw.size).max() > csv.field_size_limit():
             return False
-        at = np.searchsorted(ends, np.flatnonzero(raw == ord(",")))  # the line of each comma
-        commas = np.bincount(at, minlength=len(ends))
-        odd = np.flatnonzero(commas != 2).tolist()
-        if odd:
-            lines = text.split("\n")
-            if any(commas[i] or lines[i].strip() for i in odd):
-                return False
-            self.gaps.extend(len(self.values) + i - j for j, i in enumerate(odd))
-            text = "\n".join([*itertools.compress(lines, (commas == 2).tolist()), ""])
         parts = text.replace("\n", ",").split(",")
         del parts[-1]  # after the last newline
         self.add(parts[0::3], parts[1::3], parts[2::3])
@@ -408,14 +401,15 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
 
     The file is read in chunks of whole lines, split at commas and checked
     a column at a time, each distinct spelling once.  From the first chunk
-    with a double quote, a carriage return, a NUL, a non-blank line of other
-    than three fields or one as long as csv's field limit, to the end of the file,
-    ``csv.reader`` parses the records (where a lone carriage return ends a
-    line, as with ``newline=""``).  Memory beyond one chunk is 16 bytes a
-    row, two int32 codes and the value, and 8 more while the cells are
-    placed: each row's int32 flat cell index and one temporary (int64 past
-    2**31 - 1 cells).  The panel is allocated after the codes are freed.
-    Traced peak: 26 bytes a row on a 500,000-row file of 100 symbols.
+    with a double quote, a carriage return, a NUL, a blank or whitespace-only
+    line, a line of other than three fields or one as long as csv's field
+    limit, to the end of the file, ``csv.reader`` parses the records (where
+    a lone carriage return ends a line, as with ``newline=""``).  Memory
+    beyond one chunk is 16 bytes a row, two int32 codes and the value, and
+    8 more while the cells are placed: each row's int32 flat cell index and
+    one temporary (int64 past 2**31 - 1 cells).  The panel is allocated
+    after the codes are freed.  Traced peak: 26 bytes a row on a
+    500,000-row file of 100 symbols.
     """
     rows = _LongRows()
     with _open_text(path_or_file) as handle:

@@ -143,6 +143,24 @@ def test_scale_covariance():
         )
 
 
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+def test_correa_is_scale_covariant_at_any_finite_scale(scale):
+    # unscaled, the windowed squares overflowed from about 1e154 to a NaN
+    z = np.random.default_rng(0).standard_normal(500)
+    expected = correa_entropy(z).value + math.log(scale)
+    assert correa_entropy(z * scale).value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(("fn", "scale"), [(ebrahimi_entropy, 1e306), (vasicek_entropy, 1e307)])
+def test_a_non_finite_estimate_is_an_error(fn, scale):
+    z = np.random.default_rng(0).standard_normal(500)
+    with np.errstate(over="ignore"):
+        with pytest.raises(DataError, match="is inf: its window spacings leave float64's range$"):
+            fn(z * scale)
+    with pytest.raises(DataError, match="^correa entropy is nan"):
+        EntropyEstimate(math.nan, "correa", 1, 3)
+
+
 def test_default_window_is_sqrt():
     assert default_window(100) == 10
     assert default_window(99) == 9

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tailica.entropy import EntropyEstimatorConfig
+from tailica.entropy import EntropyEstimatorConfig, correa_entropy
 from tailica.errors import DataError, DroppedDataWarning
 from tailica.evaluate import (
     QUANTILE_LEVELS,
@@ -360,6 +360,22 @@ def test_scatter_skips_columns_with_no_entropy_estimate():
     (message,) = [str(w.message) for w in caught if w.category is DroppedDataWarning]
     assert "skipped 1 columns (constant sample: differential entropy undefined): const" in message
     assert "sample too degenerate): late" in message
+
+
+def test_scatter_records_or_skips_columns_at_the_edge_of_float64():
+    # a column at 1e154 made correa's windowed squares overflow, and the
+    # scatter aborted on a NaN record; it now has its scaled entropy, and a
+    # non-finite estimate (ebrahimi at 1e306) drops its column with the reason
+    z = np.random.default_rng(76).standard_t(5, (500, 2))
+    records = scatter_moment_entropy(panel_from(z * [1.0, 1e154], ("a", "b")), "in")
+    assert [r.column_id for r in records] == ["a", "b"]
+    expected = correa_entropy(z[:, 1]).value + math.log(1e154)
+    assert records[1].entropy == pytest.approx(expected, rel=1e-12)
+    config = EntropyEstimatorConfig("ebrahimi")
+    huge = panel_from(z * [1.0, 1e306], ("a", "b"))
+    with np.errstate(over="ignore"), pytest.warns(DroppedDataWarning, match=r"\(ebrahimi entropy is inf: .*\): b$"):
+        records = scatter_moment_entropy(huge, "in", config)
+    assert [r.column_id for r in records] == ["a"]
 
 
 def test_scatter_gaussian_offset():

@@ -254,13 +254,14 @@ def test_amari_index_error_cases():
 
 @pytest.mark.parametrize("failing_call", [1, 2])
 def test_non_converging_svd_raises_numerical_error(monkeypatch, failing_call):
-    # numpy's LinAlgError is a ValueError, which the CLI reports as a usage error
+    # numpy's LinAlgError is a ValueError, which the CLI reports as a usage
+    # error; the failing call and its retry on the transpose both fail
     z, _ = whitened(np.random.default_rng(82).laplace(size=(2000, 3)))
     svd, calls = np.linalg.svd, []
 
     def flaky_svd(a):
         calls.append(a)
-        if len(calls) == failing_call:
+        if len(calls) in (failing_call, failing_call + 1):
             raise np.linalg.LinAlgError("SVD did not converge")
         u, s, vt = svd(a)
         s[-1] = 0.0  # rank-deficient, so the shifted update takes the second SVD
@@ -269,6 +270,34 @@ def test_non_converging_svd_raises_numerical_error(monkeypatch, failing_call):
     monkeypatch.setattr(np.linalg, "svd", flaky_svd)
     with pytest.raises(NumericalError, match="k=2 did not converge at iteration 1$"):
         fit_ica(z, ContrastSpec(2), seed=0)
+
+
+def test_one_non_converging_svd_is_retried_on_the_transpose(monkeypatch):
+    z, _ = whitened(np.random.default_rng(82).laplace(size=(2000, 3)))
+    expected = fit_ica(z, ContrastSpec(2), seed=0)
+    svd, calls = np.linalg.svd, []
+
+    def flaky_svd(a):
+        calls.append(a)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky_svd)
+    got = fit_ica(z, ContrastSpec(2), seed=0)
+    assert np.array_equal(calls[1], calls[0].T)
+    assert (got.converged, got.iterations) == (expected.converged, expected.iterations)
+    np.testing.assert_allclose(got.w, expected.w, atol=1e-12)
+
+
+def test_the_default_market_fit_that_lapack_fails_returns():
+    # at solver seed 265237 the k=10 fit's SVD did not converge at iteration
+    # 31, and `tailica eval --seed 265237` exited 3; its transpose does
+    market = generate_market(SyntheticMarketSpec())
+    split = split_buckets(market, market.row_ids[market.m // 2])
+    z = apply_whitening(fit_whitening(split.in_sample, 30), split.in_sample)
+    w = fit_ica(z, ContrastSpec(10), seed=265237)
+    assert w.converged and w.iterations == 34
 
 
 def test_amari_index_monotone_in_mixing():

@@ -6,6 +6,7 @@ name a module exports in ``__all__`` exists and ``tailica`` exports exactly
 those names, and the package imports nothing beyond the standard library
 and numpy, and no module that starts threads or processes.  Every ``open()`` names its encoding.  Every benchmark record
 ``BENCH_<n>.json`` that the documents or the package cite is committed.
+The solver calls ``np.linalg.svd`` only in the helper that retries it.
 """
 
 import ast
@@ -140,3 +141,17 @@ def test_every_cited_benchmark_record_exists_and_loads():
         except (OSError, ValueError) as exc:
             broken.append(f"{name} ({type(exc).__name__})")
     assert not broken, "cited benchmark records missing or not JSON: " + ", ".join(broken)
+
+
+def test_ica_calls_the_svd_only_through_its_retrying_helper():
+    # a later decomposition in the solver cannot skip the retry on the transpose
+    tree = ast.parse((SRC / "ica.py").read_text(encoding="utf-8"))
+    (helper,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_svd"]
+    inside = {id(node) for node in ast.walk(helper)}
+    calls = [
+        node for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "svd") or (isinstance(node, ast.Name) and node.id == "svd")
+    ]  # fmt: skip
+    outside = [f"ica.py:{node.lineno}" for node in calls if id(node) not in inside]
+    assert not outside, "np.linalg.svd outside ica._svd: " + ", ".join(outside)
+    assert len(calls) == 2, "ica._svd no longer calls np.linalg.svd on the matrix and its transpose"

@@ -816,6 +816,58 @@ def test_ingest_csv_matches_the_loop_reference(monkeypatch, tmp_path):
         csv.field_size_limit(limit)
 
 
+CLASSIFIER_CHARACTERS = ["A", "\u00e9", "\u20ac", "\U0001d11e"]  # 1 to 4 bytes in UTF-8
+
+
+def _classifier_line(rng, limit):
+    """A row, within a byte of ``limit`` on half the draws, or a line of
+    other than three fields: blank, whitespace, 258 commas (2 in a uint8)."""
+    if rng.random() < 0.3:
+        odd = ["", " ", " \t ", ",".join(["2020-01-01", "A", *["1.0"] * 257]), "2020-01-01,A", "a,b,c,d"]
+        return odd[rng.integers(len(odd))]
+    symbol = "".join(rng.choice(CLASSIFIER_CHARACTERS, rng.integers(1, 6)))
+    date, value = f"2020-01-{rng.integers(1, 29):02d}", str(rng.choice(["1.5", "-2e-3"]))
+    pad = limit + int(rng.integers(-1, 2)) - len(f"{date},{symbol},{value}\n".encode())
+    if limit < 100 and rng.random() < 0.5:
+        symbol = "A" * pad + symbol
+    return f"{date},{symbol},{value}"
+
+
+def test_add_lines_takes_exactly_the_chunks_of_three_field_lines_within_the_limit():
+    rng = np.random.default_rng(26)
+    shipped = csv.field_size_limit()
+    accepted = 0
+    try:
+        for case in range(600):
+            limit = int(rng.choice([40, shipped]))
+            csv.field_size_limit(limit)
+            text = "\n".join(_classifier_line(rng, limit) for _ in range(rng.integers(1, 8)))
+            text += "\n" if rng.random() < 0.8 else ""
+            lines = (text if text.endswith("\n") else text + "\n")[:-1].split("\n")
+            plain = all(line.count(",") == 2 and len(line.encode()) < limit for line in lines)
+            rows = panel_module._LongRows()
+            assert rows.add_lines(text) == plain, (case, limit, text)
+            assert len(rows.values) == (len(lines) if plain else 0) and not rows.gaps, (case, text)
+            if plain:
+                assert set(rows.names[1]) == {line.split(",")[1] for line in lines}
+            accepted += plain
+    finally:
+        csv.field_size_limit(shipped)
+    assert 50 < accepted < 550
+
+
+@pytest.mark.parametrize("blank", ["", " \t"])
+@pytest.mark.parametrize("where", [0.0, 0.5, 1.0])  # the first, a middle and the last chunk
+def test_a_blank_line_in_any_chunk_reads_like_the_loop_reference(monkeypatch, blank, where):
+    monkeypatch.setattr(panel_module, "_CHUNK", 64)  # about three rows
+    values = np.random.default_rng(27).standard_normal(60).tolist()
+    lines = [f"2020-01-{1 + i // 3:02d},{'ABC'[i % 3]},{v!r}" for i, v in enumerate(values)]
+    lines.insert(1 + int(where * (len(lines) - 2)), blank)
+    for tail in ("", "2020-01-01,A,2.0\n", "2020-02-01,A,x\n"):  # clean, a repeat, a bad value
+        text = "\n".join(["date,symbol,return", *lines, ""]) + tail
+        assert _ingest_outcome(ingest_csv, io.StringIO(text), True) == _expected(text, True), (where, tail)
+
+
 def test_oversized_field_is_a_data_error_on_both_paths():
     big = "S" * 200_000
     plain = f"date,symbol,return\n2020-01-01,AAA,1.0\n2020-01-02,{big},1.0\n"

@@ -20,8 +20,8 @@ import numpy as np
 from .entropy import EntropyEstimatorConfig, estimate_entropy
 from .errors import DataError, DroppedDataWarning
 from .ica import ContrastSpec, UnmixingMatrix, fit_ica, kkt_residual, transform
-from .moments import _as_sample, _column_moments
-from .panel import BucketSplit, SamplePanel, _check_date, _csv_text, split_buckets
+from .moments import _as_sample, _check_order, _column_moments
+from .panel import BucketSplit, SamplePanel, _check_date, _csv_text, center, split_buckets
 from .whiten import WhiteningTransform, apply_whitening, fit_whitening
 
 __all__ = [
@@ -123,10 +123,8 @@ class SyntheticMarketSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.n_assets) < 1:
-            raise DataError(f"n_assets must be >= 1, got {self.n_assets}")
-        if int(self.m_samples) < 2:
-            raise DataError(f"m_samples must be >= 2, got {self.m_samples}")
+        object.__setattr__(self, "n_assets", _check_order(self.n_assets, "n_assets", error=DataError))
+        object.__setattr__(self, "m_samples", _check_order(self.m_samples, "m_samples", 2, DataError))
         lo, hi = self.nu_range
         if not (lo <= hi) or lo <= 2.0:
             raise DataError(f"nu_range must satisfy 2 < lo <= hi, got {self.nu_range}")
@@ -148,7 +146,7 @@ class SyntheticMarketSpec:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise DataError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
         start = datetime.date.fromisoformat(_check_date(self.start_date, "start_date"))
-        if start.toordinal() + int(self.m_samples) - 1 > datetime.date.max.toordinal():
+        if start.toordinal() + self.m_samples - 1 > datetime.date.max.toordinal():
             raise DataError(f"{self.m_samples} daily rows from {self.start_date} run past 9999-12-31")
 
 
@@ -165,8 +163,8 @@ def _standardized_t(rng, df, size):
 def generate_market(spec: SyntheticMarketSpec) -> SamplePanel:
     """Deterministic synthetic return panel from a market spec, built in place in
     its one draw array: generation holds about 1.25 times the panel."""
-    n = int(spec.n_assets)
-    m = int(spec.m_samples)
+    n = spec.n_assets
+    m = spec.m_samples
     rng = np.random.default_rng(spec.seed)
     lo, hi = spec.nu_range
     nus = np.full(n, np.inf) if math.isinf(lo) else rng.uniform(lo, hi, n)
@@ -257,18 +255,16 @@ def scatter_moment_entropy(
 ) -> list:
     """Per-symbol (order-10 root moment, entropy) records.
 
-    Columns are centered before the root moment (moments are defined for
-    centered variables); entropy is translation-invariant so the raw
-    column is passed through.  A column whose entropy estimate raises
-    ``DataError`` (a constant column, or one of many tied zeros such as a
-    late-listed symbol filled with 0.0) is skipped with a warning that
-    names the reason.
+    Columns are centered by ``center``, the one centring rule (each column's
+    own overflow-safe mean; ``fit_whitening`` keeps the mean whose bits saved
+    fits carry), before the root moment (moments are defined for centered
+    variables); entropy is translation-invariant so the raw column is passed
+    through.  A column whose entropy estimate raises ``DataError`` (a
+    constant column, or one of many tied zeros such as a late-listed symbol
+    filled with 0.0) is skipped with a warning that names the reason.
     """
     config = entropy_config or EntropyEstimatorConfig()
-    centered = np.array(panel.data, order="F")  # each column averages as a 1-d sample
-    centered -= centered.mean(axis=0)
-    roots = _column_moments(centered, 10, root=True)
-    del centered
+    roots = _column_moments(center(panel).data, 10, root=True)
     records = []
     skipped = {}  # reason -> column ids
     for j, cid in enumerate(panel.column_ids):

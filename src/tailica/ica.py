@@ -98,6 +98,8 @@ class UnmixingMatrix:
         if gram_err > 1e-8:
             raise DataError(f"unmixing columns not orthonormal (max |W'W - I| = {gram_err:.3e})")
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "k", _check_order(self.k, "k", error=DataError))
+        object.__setattr__(self, "iterations", _check_order(self.iterations, "iterations", 0, DataError))
 
     @property
     def d(self) -> int:
@@ -199,17 +201,15 @@ def fit_ica(
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if int(max_iter) < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = _check_order(max_iter, "max_iter")
     _check_white(white_panel)
     y = white_panel.data
     d = y.shape[1]
     k = contrast.k
     rng = np.random.default_rng(seed)
     w, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    iterations = 0
     converged = False
-    for iterations in range(1, int(max_iter) + 1):
+    for iterations in range(1, max_iter + 1):  # max_iter >= 1: at least one step
         update = _raw_update(y, w, k)
         size = np.abs(update).max()
         if not np.isfinite(size):

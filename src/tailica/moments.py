@@ -52,13 +52,13 @@ def _as_sample(sample) -> np.ndarray:
     return x
 
 
-def _check_order(p: int, name: str = "moment order") -> int:
-    """``p`` as an int: an integer value >= 1 (``2.0`` passes, ``2.5`` does not)."""
+def _check_order(p: int, name: str = "moment order", low: int = 1, error=ValueError) -> int:
+    """``p`` as an int >= ``low`` (``2.0`` passes, ``2.5`` does not), else raises ``error``."""
     k = int(p)
     if k != p:
-        raise ValueError(f"{name} must be an integer, got {p}")
-    if k < 1:
-        raise ValueError(f"{name} must be >= 1, got {p}")
+        raise error(f"{name} must be an integer, got {p}")
+    if k < low:
+        raise error(f"{name} must be >= {low}, got {p}")
     return k
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DroppedDataWarning
+from .moments import _pow2_exponents
 
 __all__ = [
     "SamplePanel",
@@ -237,8 +238,12 @@ def split_buckets(panel: SamplePanel, boundary_date: str) -> BucketSplit:
 
 
 def center(panel: SamplePanel) -> SamplePanel:
-    """Subtract each column's mean."""
-    data = panel.data - panel.data.mean(axis=0)
+    """Subtract each column's mean, the one centring rule: ``col.mean()`` of the
+    column rescaled by an exact power of two, so no sum overflows.  ``fit_whitening``
+    keeps its ``x.mean(axis=0)``, whose bits every saved whitening and fit carry."""
+    exp2 = _pow2_exponents(panel.data)
+    scaled = np.ldexp(panel.data, -exp2, out=np.empty(panel.data.shape, order="F"))  # columns contiguous
+    data = panel.data - np.ldexp(scaled.mean(axis=0), exp2)
     data.flags.writeable = False
     return panel.with_data(data)
 

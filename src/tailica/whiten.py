@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ReductionWarning
+from .moments import _check_order
 from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen
 
 __all__ = [
@@ -93,10 +94,8 @@ def fit_whitening(
     (correlation-matrix whitening); the scaling is folded into the stored
     projection, so applying the transform needs no extra state.
     """
-    d = int(d)
+    d = _check_order(d, "d")
     n = panel.n
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
     if d > n:
         raise ValueError(f"d={d} exceeds the panel's {n} columns")
     if panel.m <= d:

@@ -306,6 +306,32 @@ def test_tailcov_takes_its_own_centering(tmp_path, capsys):
     assert capsys.readouterr().out == tail_covariance_to_csv(want)
 
 
+def test_scatter_and_tailcov_centre_a_column_near_the_float64_limit(tmp_path, capsys):
+    z = np.random.default_rng(76).standard_t(5, (500, 2)) * [1.0, 1e307]
+    dates = tuple((datetime.date(2000, 1, 1) + datetime.timedelta(days=i)).isoformat() for i in range(500))
+    path = tmp_path / "huge.csv"
+    write_wide_csv(SamplePanel(z, ("a", "b"), dates), path)
+    out = tmp_path / "scatter.csv"
+    assert main(["scatter", "--input", str(path), "--out", str(out)]) == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["symbol", "a", "b"]
+    # centred, b's variance (about 1e614) still lies past the float64 range
+    with np.errstate(over="ignore"):
+        assert main(["tailcov", "--input", str(path), "--k", "1"]) == 3
+    assert "tail covariance of order k=1 exceeds the float64 range" in capsys.readouterr().err
+
+
+def test_transform_refuses_an_unmixing_with_bad_counts(tmp_path, market_csv, capsys):
+    whitening = tmp_path / "whitening.csv"
+    whitening.write_text(whitening_to_csv(fit_whitening(read_wide_csv(market_csv), 2)))
+    bad = tmp_path / "W_k0.csv"
+    bad.write_text("tailica-W v1, k=0, seed=0, converged=true, iterations=-4\n1.0,0.0\n0.0,1.0\n")
+    out = tmp_path / "o.csv"
+    argv = ["transform", "--input", str(market_csv), "--whitening", str(whitening), "--unmixing", str(bad)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "tailica: data error: k must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scatter_writes_records(tmp_path, market_csv):
     out = tmp_path / "scatter.csv"
     rc = main(

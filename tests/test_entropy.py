@@ -1,6 +1,6 @@
 """Tests for the spacing-based differential entropy estimators."""
 
-import datetime
+import functools
 import math
 import warnings
 
@@ -21,7 +21,8 @@ from tailica.entropy import (
     vasicek_entropy,
 )
 from tailica.errors import DataError, TieWarning
-from tailica.panel import SamplePanel
+
+from dated import dated_panel
 
 # Frozen references for the sample (1, 2, 4, 8, 16) with window 1.  The
 # clamped spacings are (1, 3, 6, 12, 8); every value below was computed
@@ -375,13 +376,7 @@ def test_moment_link_window_validation():
         entropy_moment_approximation([1.0, 2.0, 3.0], 4, 0)
 
 
-def make_component_panel(data):
-    start = datetime.date(2021, 1, 1)
-    dates = tuple(
-        (start + datetime.timedelta(days=i)).isoformat() for i in range(data.shape[0])
-    )
-    cols = tuple(f"ic_{j:04d}" for j in range(data.shape[1]))
-    return SamplePanel(data, cols, dates)
+make_component_panel = functools.partial(dated_panel, start="2021-01-01", names="ic_{:04d}")
 
 
 def _whiten_columns(data):

@@ -1,7 +1,7 @@
 """Tests for the synthetic market, tail reports and the experiment driver."""
 
 import dataclasses
-import datetime
+import functools
 import math
 import threading
 import tracemalloc
@@ -31,8 +31,10 @@ from tailica.evaluate import (
 import tailica.evaluate as evaluate_module
 from tailica.ica import ContrastSpec, UnmixingMatrix, fit_ica, kkt_residual, transform
 from tailica.moments import moment, root_moment
-from tailica.panel import SamplePanel, split_buckets
+from tailica.panel import split_buckets
 from tailica.whiten import apply_whitening, fit_whitening
+
+from dated import dated_panel
 
 # asymptotic offset between Gaussian entropy and the order-10 log root
 # moment: ln sqrt(2 pi e) - ln(945)/10, with 945 = E[Z^10]
@@ -45,15 +47,7 @@ def small_t_market(seed=0, n=12, m=600):
     )
 
 
-def panel_from(data, columns=None):
-    data = np.asarray(data, dtype=float)
-    if columns is None:
-        columns = tuple(f"S{j:04d}" for j in range(data.shape[1]))
-    start = datetime.date(2000, 1, 1)
-    dates = tuple(
-        (start + datetime.timedelta(days=i)).isoformat() for i in range(data.shape[0])
-    )
-    return SamplePanel(data, columns, dates)
+panel_from = functools.partial(dated_panel, start="2000-01-01")
 
 
 def test_market_is_deterministic():
@@ -376,6 +370,26 @@ def test_scatter_records_or_skips_columns_at_the_edge_of_float64():
     with np.errstate(over="ignore"), pytest.warns(DroppedDataWarning, match=r"\(ebrahimi entropy is inf: .*\): b$"):
         records = scatter_moment_entropy(huge, "in", config)
     assert [r.column_id for r in records] == ["a"]
+
+
+def test_scatter_centres_a_column_near_the_float64_limit():
+    # b's unscaled sum overflows float64, and a NaN root would abort the scatter
+    z = np.random.default_rng(76).standard_t(5, (500, 2)) * [1.0, 1e307]
+    records = scatter_moment_entropy(panel_from(z, ("a", "b")), "in")
+    assert [r.column_id for r in records] == ["a", "b"]
+    col = z[:, 1]
+    mean = (col * 2.0**-1020).mean() * 2.0**1020  # an exact shift, so the sum stays in range
+    assert records[1].root_moment_10 == root_moment(col - mean, 10)
+
+
+def test_market_spec_refuses_fractional_counts():
+    # truncated, these would build a 100 x 5 market
+    with pytest.raises(DataError, match="n_assets must be an integer, got 5.7"):
+        SyntheticMarketSpec(n_assets=5.7)
+    with pytest.raises(DataError, match="m_samples must be an integer, got 100.9"):
+        SyntheticMarketSpec(m_samples=100.9)
+    spec = SyntheticMarketSpec(n_assets=5.0, m_samples=100.0)
+    assert (spec.n_assets, spec.m_samples) == (5, 100) and type(spec.m_samples) is int
 
 
 def test_scatter_gaussian_offset():

@@ -1,6 +1,6 @@
 """Tests for the fixed-point unmixing search and its diagnostics."""
 
-import datetime
+import functools
 import math
 import tracemalloc
 import warnings
@@ -23,20 +23,14 @@ from tailica.ica import (
     unmixing_to_csv,
 )
 from tailica.moments import _pow2_exponents
-from tailica.panel import SamplePanel, split_buckets
+from tailica.panel import split_buckets
 from tailica.tailcov import tail_covariance
 from tailica.whiten import _fix_signs, apply_whitening, fit_whitening
 
+from dated import dated_panel
 
-def panel_from(data, columns=None):
-    data = np.asarray(data, dtype=float)
-    if columns is None:
-        columns = tuple(f"S{j:04d}" for j in range(data.shape[1]))
-    start = datetime.date(1990, 1, 1)
-    dates = tuple(
-        (start + datetime.timedelta(days=i)).isoformat() for i in range(data.shape[0])
-    )
-    return SamplePanel(data, columns, dates)
+
+panel_from = functools.partial(dated_panel, start="1990-01-01")
 
 
 def whitened(data):
@@ -141,6 +135,27 @@ def test_fit_parameter_validation():
             fit_ica(z, ContrastSpec(2), seed=0, tol=tol)
     with pytest.raises(ValueError):
         fit_ica(z, ContrastSpec(2), seed=0, max_iter=0)
+
+
+def test_fit_refuses_a_fractional_max_iter():
+    # truncated, 1.5 would run one step
+    z, _ = whitened(np.random.default_rng(87).standard_normal((300, 2)))
+    with pytest.raises(ValueError, match="max_iter must be an integer, got 1.5"):
+        fit_ica(z, ContrastSpec(2), seed=0, max_iter=1.5)
+    assert fit_ica(z, ContrastSpec(2), seed=0, max_iter=2.0).iterations <= 2
+
+
+def test_unmixing_matrix_refuses_bad_counts():
+    for k, iterations, match in [
+        (0, 1, "k must be >= 1, got 0"),
+        (2.5, 1, "k must be an integer, got 2.5"),
+        (2, -4, "iterations must be >= 0, got -4"),
+        (2, 1.5, "iterations must be an integer, got 1.5"),
+    ]:
+        with pytest.raises(DataError, match=match):
+            UnmixingMatrix(np.eye(2), k, 0, iterations, True)
+    w = UnmixingMatrix(np.eye(2), 2.0, 0, 0, True)
+    assert (w.k, w.iterations) == (2, 0) and type(w.k) is int
 
 
 def test_transform_identity_and_ids():

@@ -257,6 +257,25 @@ def test_center_removes_column_means():
     assert c.row_ids == p.row_ids
 
 
+def test_center_subtracts_each_columns_own_mean():
+    market = generate_market(SyntheticMarketSpec(n_assets=6, m_samples=700, seed=2))
+    c = center(market)
+    for j in range(market.n):
+        col = market.data[:, j]
+        assert np.array_equal(c.data[:, j], col - col.mean())
+
+
+def test_center_keeps_a_column_near_the_float64_limit_finite():
+    # b's unscaled sum overflows float64
+    z = np.random.default_rng(76).standard_t(5, (500, 2)) * [1.0, 1e307]
+    dates = tuple(str(np.datetime64("2000-01-01") + i) for i in range(500))
+    c = center(SamplePanel(z, ("a", "b"), dates))
+    assert np.all(np.isfinite(c.data))
+    col = z[:, 1]
+    np.testing.assert_array_equal(c.data[:, 1], col - (col * 2.0**-1020).mean() * 2.0**1020)
+    np.testing.assert_array_equal(c.data[:, 0], z[:, 0] - z[:, 0].mean())
+
+
 # accepted by date.fromisoformat on newer Pythons, but they sort out of date order
 NON_CANONICAL = ["20200101", "2020-W01-1"]
 

@@ -1,6 +1,6 @@
 """Tests for tail covariance matrices and their max-overlap limit."""
 
-import datetime
+import functools
 import math
 from fractions import Fraction
 
@@ -8,25 +8,19 @@ import numpy as np
 import pytest
 
 from tailica.errors import DataError, NumericalError
-from tailica.panel import SamplePanel, center
+from tailica.panel import center
 from tailica.tailcov import (
     TailCovarianceMatrix,
     tail_covariance,
     tail_covariance_to_csv,
 )
 
+from dated import dated_panel
+
 DATES3 = ("2020-01-01", "2020-01-02", "2020-01-03")
 
 
-def panel_from(data, columns=None):
-    data = np.asarray(data, dtype=float)
-    if columns is None:
-        columns = tuple(f"c{j}" for j in range(data.shape[1]))
-    start = datetime.date(2020, 1, 1)
-    dates = tuple(
-        (start + datetime.timedelta(days=i)).isoformat() for i in range(data.shape[0])
-    )
-    return SamplePanel(data, columns, dates)
+panel_from = functools.partial(dated_panel, start="2020-01-01", names="c{}")
 
 
 def test_tail_covariance_small_exact_case():

@@ -1,6 +1,6 @@
 """Tests for PCA whitening: fitting, application and serialization."""
 
-import datetime
+import functools
 import tracemalloc
 
 import numpy as np
@@ -16,16 +16,10 @@ from tailica.whiten import (
     whitening_to_csv,
 )
 
+from dated import dated_panel
 
-def panel_from(data, columns=None):
-    data = np.asarray(data, dtype=float)
-    if columns is None:
-        columns = tuple(f"S{j:04d}" for j in range(data.shape[1]))
-    start = datetime.date(2019, 1, 1)
-    dates = tuple(
-        (start + datetime.timedelta(days=i)).isoformat() for i in range(data.shape[0])
-    )
-    return SamplePanel(data, columns, dates)
+
+panel_from = functools.partial(dated_panel, start="2019-01-01")
 
 
 def correlated_panel(seed=61, m=400, n=6):
@@ -154,6 +148,14 @@ def test_parameter_validation():
     small = panel_from(np.random.default_rng(1).standard_normal((4, 6)))
     with pytest.raises(ValueError):
         fit_whitening(small, d=5)
+
+
+def test_d_must_be_a_whole_number():
+    # truncated, 2.5 would whiten to 2 columns
+    p = correlated_panel(seed=68, m=200)
+    with pytest.raises(ValueError, match="d must be an integer, got 2.5"):
+        fit_whitening(p, 2.5)
+    assert fit_whitening(p, 3.0).d == 3
 
 
 def test_apply_rejects_mismatched_columns():

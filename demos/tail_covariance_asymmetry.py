@@ -25,7 +25,7 @@ def panel_from(data, columns):
 
 # the classic three-day example: x crashes once, y never does
 pair = panel_from([[1.0, 2.0], [2.0, 1.0], [-3.0, 1.0]], ("x", "y"))
-t2 = tail_covariance(pair, k=2, check_centered=False)
+t2 = tail_covariance(pair, k=2)
 print("k=2 tail covariance of x=[1,2,-3], y=[2,1,1]:")
 print(t2.values)
 print(f"T_xy = {t2.values[0, 1]:.4f} (x on y's tail days)")
@@ -52,6 +52,6 @@ tiny = np.array([math.ldexp(5, -220), math.ldexp(1, -220)])
 mixed = panel_from(np.column_stack([big, tiny]), ("big", "tiny"))
 with np.errstate(under="ignore"):
     naive = np.mean(big * tiny**5)
-safe = tail_covariance(mixed, k=3, check_centered=False)
+safe = tail_covariance(mixed, k=3)
 print(f"\ncross term, naive average : {naive}")
 print(f"cross term, tail_covariance: {safe.values[0, 1]}")

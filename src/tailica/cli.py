@@ -288,8 +288,7 @@ def _cmd_tailcov(params: dict) -> str:
     panel = _load_panel(params)
     if params["center"]:
         panel = center(panel)
-    matrix = tail_covariance(panel, params["k"], check_centered=False)  # center()'s rounding can fail it
-    return tail_covariance_to_csv(matrix)
+    return tail_covariance_to_csv(tail_covariance(panel, params["k"]))
 
 
 def _cmd_scatter(params: dict) -> str:

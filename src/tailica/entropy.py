@@ -121,11 +121,13 @@ def ebrahimi_entropy(sample, n: int = None) -> EntropyEstimate:
 def correa_entropy(sample, n: int = None) -> EntropyEstimate:
     """Local-regression spacing estimator.
 
-    For each rank i, regress the clamped window x_(i-n)..x_(i+n) on the
-    rank offsets -n..n; H = -mean(ln(slope_i / m)).  Windowed sums are
-    taken from prefix sums so the whole estimate is O(m), over the sample
-    scaled exactly by 2**-e, e its max-abs frexp exponent, so no square
-    overflows.
+    For each rank i, regress the clamped window x_(i-n)..x_(i+n) on the rank
+    offsets -n..n; H = -mean(ln(slope_i / m)).  Windowed sums are taken from
+    prefix sums so the whole estimate is O(m), over the sample scaled exactly
+    by 2**-e, e its max-abs frexp exponent, so no square overflows.  Global
+    sums cancel in a narrow window far from the mean: -1e4 + 1e-3*t(4) (2,500
+    draws, 1% zeros) gives -4.74067 nats (long double: -4.73562); 100,000
+    standard Cauchy draws raise "zero local variance window" (Vasicek: 2.566).
     """
     xp, _, m, n = _prepare(sample, n)
     e = int(np.frexp(max(-xp[0], xp[-1]))[1])

@@ -219,10 +219,10 @@ def tail_histogram(values):
 
 def build_tail_report(components: SamplePanel, k: int, bucket: str) -> TailReport:
     """Tail statistics of a component panel (see :class:`TailReport`)."""
+    k = _check_order(k, "order k")
     data = components.data
-    order = 2 * int(k)
     quantiles = np.quantile(data, QUANTILE_LEVELS, axis=0)
-    roots = np.array(_column_moments(data, order, root=True))
+    roots = np.array(_column_moments(data, 2 * k, root=True))
     m2 = np.array(_column_moments(data, 2))
     m4 = np.array(_column_moments(data, 4))
     if np.any(m2 == 0.0):
@@ -234,7 +234,7 @@ def build_tail_report(components: SamplePanel, k: int, bucket: str) -> TailRepor
     p_edges, p_counts = tail_histogram(portfolio)
     abs_pooled = np.abs(pooled)
     return TailReport(
-        k=int(k),
+        k=k,
         bucket=str(bucket),
         component_ids=components.column_ids,
         m=data.shape[0],

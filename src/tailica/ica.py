@@ -267,12 +267,10 @@ def kkt_residual(white_panel: SamplePanel, W: UnmixingMatrix, k: int) -> KktResi
     off_diagonal_max is the largest |E[(w_i'y)(w_j'y)^(2k-1)]| over i != j,
     the distance from a diagonal tail covariance; it is not zero at an
     exact stationary point, where the tail covariance is only symmetric.
-    orthonormality_max is max |W'W - I|.  Centering is not re-checked:
-    the caller supplies whitened data, which is centered by construction
-    on the training bucket and near-centered out of sample.
+    orthonormality_max is max |W'W - I|.
     """
     components = transform(W, white_panel)
-    t = tail_covariance(components, k, check_centered=False).values
+    t = tail_covariance(components, k).values
     off_max = float(np.abs(t - np.diag(np.diag(t))).max())
     return KktResidual(off_diagonal_max=off_max, orthonormality_max=_orthonormality_error(W.w))
 

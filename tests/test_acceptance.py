@@ -108,7 +108,7 @@ def test_tail_covariance_reduces_to_covariance():
     reduced_ok = worst < 1e-10
 
     pair = panel_from(np.array([[1.0, 2.0], [2.0, 1.0], [-3.0, 1.0]]))
-    t2 = tail_covariance(pair, k=2, check_centered=False).values
+    t2 = tail_covariance(pair, k=2).values
     exact_ok = t2[0, 1] == 7.0 / 3.0 and t2[1, 0] == -17.0 / 3.0
 
     detail = f"max rel deviation {worst:.2e}; asymmetry pair ({t2[0, 1]}, {t2[1, 0]})"

@@ -300,6 +300,14 @@ def test_build_tail_report_degenerate_columns():
     assert rep.excess_kurtosis[1] == -2.0
 
 
+@pytest.mark.parametrize("k", [2.5, 0])
+def test_build_tail_report_refuses_a_bad_order(k):
+    # a fractional order used to be truncated to 2, and 0 divided by zero
+    p = generate_market(SyntheticMarketSpec(n_assets=3, m_samples=300, seed=0))
+    with pytest.raises(ValueError, match="order k"):
+        build_tail_report(p, k, "in")
+
+
 def test_tail_report_validation():
     rng = np.random.default_rng(73)
     p = panel_from(rng.standard_normal((200, 3)))

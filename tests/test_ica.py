@@ -195,7 +195,7 @@ def test_kkt_residual_matches_component_tail_covariance():
     z, _ = whitened(s)
     W = fit_ica(z, ContrastSpec(2), seed=0)
     res = kkt_residual(z, W, 2)
-    tc = tail_covariance(transform(W, z), 2, check_centered=False)
+    tc = tail_covariance(transform(W, z), 2)
     off = np.abs(tc.values - np.diag(np.diag(tc.values)))
     assert res.off_diagonal_max == off.max()
     assert res.orthonormality_max <= 1e-8

@@ -234,7 +234,7 @@ def test_every_order_entry_point_takes_integers_only():
         "root_moment": lambda p: root_moment(x, p),
         "log_moment": lambda p: log_moment(x, p),
         "ContrastSpec": lambda p: ContrastSpec(p).k,
-        "tail_covariance": lambda p: tail_covariance(panel, p, check_centered=False).values,
+        "tail_covariance": lambda p: tail_covariance(panel, p).values,
         "entropy_moment_approximation k": lambda p: entropy_moment_approximation(x, p, 1),
         "entropy_moment_approximation n": lambda p: entropy_moment_approximation(x, 2, p),
         "EntropyEstimatorConfig": lambda p: EntropyEstimatorConfig("vasicek", p).window_n,

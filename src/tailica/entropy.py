@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DataError
 from .moments import _as_sample, _check_order, log_moment
 from .panel import SamplePanel
+from .whiten import _check_white
 
 __all__ = [
     "EntropyEstimatorConfig",
@@ -185,21 +186,11 @@ def mutual_information_proxy(components: SamplePanel, config: EntropyEstimatorCo
 
     Under a fixed whitening, rotations leave the joint entropy unchanged,
     so the rotation minimizing this sum is the most independent one
-    (lower is better).  Requires centered, unit-variance columns; the
-    value is only comparable across unmixings of the same data.
+    (lower is better).  The panel must pass ``whiten._check_white``, the
+    rule the unmixing search applies (means and covariance within 1e-6 of
+    0 and the identity); the value is only comparable across unmixings of
+    the same data.
     """
+    _check_white(components)
     data = components.data
-    means = np.abs(data.mean(axis=0))
-    if np.any(means > 1e-6):
-        j = int(np.argmax(means))
-        raise DataError(
-            f"column {components.column_ids[j]!r} not centered (|mean|={means[j]:.3e})"
-        )
-    variances = (data**2).mean(axis=0)
-    if np.any(np.abs(variances - 1.0) > 1e-6):
-        j = int(np.argmax(np.abs(variances - 1.0)))
-        raise DataError(
-            f"column {components.column_ids[j]!r} not unit variance "
-            f"(var={variances[j]:.6f}); whiten the panel first"
-        )
     return float(sum(estimate_entropy(data[:, j], config).value for j in range(data.shape[1])))

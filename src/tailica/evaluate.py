@@ -20,7 +20,7 @@ import numpy as np
 from .entropy import EntropyEstimatorConfig, estimate_entropy
 from .errors import DataError, DroppedDataWarning
 from .ica import ContrastSpec, UnmixingMatrix, fit_ica, kkt_residual, transform
-from .moments import _as_sample, _check_order, _column_moments
+from .moments import _as_sample, _check_order, _column_moments, _scaled_powers
 from .panel import BucketSplit, SamplePanel, _check_date, _csv_text, center, split_buckets
 from .whiten import WhiteningTransform, apply_whitening, fit_whitening
 
@@ -223,8 +223,7 @@ def build_tail_report(components: SamplePanel, k: int, bucket: str) -> TailRepor
     data = components.data
     quantiles = np.quantile(data, QUANTILE_LEVELS, axis=0)
     roots = np.array(_column_moments(data, 2 * k, root=True))
-    m2 = np.array(_column_moments(data, 2))
-    m4 = np.array(_column_moments(data, 4))
+    m2, m4 = (_scaled_powers(data, p)[0].mean(axis=0) for p in (2, 4))  # kurtosis is scale-free
     if np.any(m2 == 0.0):
         raise DataError("constant component column; kurtosis undefined")
     kurtosis = m4 / m2**2 - 3.0

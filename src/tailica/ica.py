@@ -43,7 +43,7 @@ from .errors import DataError, NumericalError
 from .moments import _check_order, _pow2_exponents
 from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen
 from .tailcov import tail_covariance
-from .whiten import _fix_signs
+from .whiten import _check_white, _fix_signs
 
 __all__ = [
     "ContrastSpec",
@@ -165,18 +165,6 @@ def _svd(a: np.ndarray, k: int, iteration: int) -> tuple:
         except np.linalg.LinAlgError:
             raise NumericalError(f"SVD for contrast order k={k} did not converge at iteration {iteration}") from None
         return ut.T, s, v.T
-
-
-def _check_white(panel: SamplePanel) -> None:
-    data = panel.data
-    cov = data.T @ data / len(data)
-    mean_err = np.abs(np.ones(len(data)) @ data / len(data)).max()
-    cov_err = np.abs(cov - np.eye(data.shape[1])).max()
-    if mean_err > 1e-6 or cov_err > 1e-6:
-        raise DataError(
-            f"input is not white (max |mean| = {mean_err:.3e}, "
-            f"max |cov - I| = {cov_err:.3e}); apply whitening first"
-        )
 
 
 def fit_ica(

@@ -2,9 +2,13 @@
 
 The fitted transform maps an n-column panel to d <= n uncorrelated
 unit-variance columns, the constraint set the unmixing search moves on.
-Covariance uses the 1/m convention.  Eigenvectors are ordered by
-descending eigenvalue with a fixed sign convention (largest-magnitude
-coordinate positive) so repeated fits are bitwise identical.
+Covariance uses the 1/m convention; one beyond float64's range is a
+``NumericalError``.  Eigenvectors are ordered by descending eigenvalue
+with a fixed sign convention (largest-magnitude coordinate positive) so
+repeated fits are bitwise identical.  ``_check_white`` is the package's
+one whiteness rule (means and covariance within 1e-6 of 0 and the
+identity): the unmixing search and the mutual-information proxy refuse
+any panel that breaks it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ReductionWarning
-from .moments import _check_order
+from .errors import DataError, NumericalError, ReductionWarning
+from .moments import _check_order, _pow2_exponents
 from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen
 
 __all__ = [
@@ -79,6 +83,18 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors * flips[np.newaxis, :]
 
 
+def _check_white(panel: SamplePanel) -> None:
+    data = panel.data
+    cov = data.T @ data / len(data)
+    mean_err = np.abs(np.ones(len(data)) @ data / len(data)).max()
+    cov_err = np.abs(cov - np.eye(data.shape[1])).max()
+    if mean_err > 1e-6 or cov_err > 1e-6:
+        raise DataError(
+            f"input is not white (max |mean| = {mean_err:.3e}, "
+            f"max |cov - I| = {cov_err:.3e}); apply whitening first"
+        )
+
+
 def fit_whitening(
     panel: SamplePanel,
     d: int,
@@ -103,16 +119,22 @@ def fit_whitening(
     if not 0.0 < eig_floor <= 1.0:
         raise ValueError(f"eig_floor must lie in (0, 1], got {eig_floor}")
     x = panel.data
-    mean = x.mean(axis=0)
-    xc = x - mean
-    scale = None
-    if standardize:
-        scale = np.sqrt((xc**2).mean(axis=0))
-        if np.any(scale == 0.0):
-            j = int(np.argmax(scale == 0.0))
-            raise DataError(f"column {panel.column_ids[j]!r} is constant; cannot standardize")
-        xc = xc / scale
-    cov = xc.T @ xc / panel.m
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on cov below
+        mean = x.mean(axis=0)
+        xc = x - mean
+        scale = None
+        if standardize:  # root mean square of ratios to 2**exp2, so no square leaves the range
+            exp2 = _pow2_exponents(xc)
+            scale = np.ldexp(np.sqrt((np.ldexp(xc, -exp2) ** 2).mean(axis=0)), exp2)
+            if np.any(scale == 0.0):
+                j = int(np.argmax(scale == 0.0))
+                raise DataError(f"column {panel.column_ids[j]!r} is constant; cannot standardize")
+            xc = xc / scale
+        cov = xc.T @ xc / panel.m
+    if not np.all(np.isfinite(cov)):
+        raise NumericalError("covariance exceeds the float64 range; rescale the panel")
+    if np.abs(cov).max() < np.finfo(np.float64).tiny and np.any(x != x[0]):
+        raise NumericalError("covariance underflows float64 (largest entry zero or subnormal); rescale the panel")
     eigenvalues, vectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]

@@ -12,6 +12,7 @@ import pytest
 import tailica.cli as cli
 from tailica.cli import main
 from tailica.errors import DroppedDataWarning, NumericalError, TieWarning
+from tailica.evaluate import SyntheticMarketSpec, generate_market
 from tailica.ica import unmixing_from_csv
 from tailica.panel import SamplePanel, center, read_wide_csv, write_wide_csv
 from tailica.tailcov import tail_covariance, tail_covariance_to_csv
@@ -317,6 +318,16 @@ def test_scatter_and_tailcov_centre_a_column_near_the_float64_limit(tmp_path, ca
     # centred, b's variance (about 1e614) still lies past the float64 range
     assert main(["tailcov", "--input", str(path), "--k", "1"]) == 3
     assert "tail covariance of order k=1 exceeds the float64 range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("e, message", [(700, "exceeds the float64 range"), (-700, "underflows float64")])
+def test_fit_reports_a_covariance_beyond_float64_as_numerical(tmp_path, capsys, e, message):
+    p = generate_market(SyntheticMarketSpec(n_assets=6, m_samples=400))
+    path = tmp_path / "scaled.csv"
+    write_wide_csv(p.with_data(np.ldexp(p.data, e)), path)
+    argv = ["fit", "--input", str(path), "--d", "4", "--k", "2", "--boundary", p.row_ids[200]]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 3
+    assert f"tailica: numerical error: covariance {message}" in capsys.readouterr().err
 
 
 def test_transform_refuses_an_unmixing_with_bad_counts(tmp_path, market_csv, capsys):

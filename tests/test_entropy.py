@@ -380,8 +380,10 @@ make_component_panel = functools.partial(dated_panel, start="2021-01-01", names=
 
 
 def _whiten_columns(data):
+    # centre, then multiply by V diag(lambda^-1/2) V' of the covariance
     data = data - data.mean(axis=0)
-    return data / np.sqrt((data**2).mean(axis=0))
+    lam, v = np.linalg.eigh(data.T @ data / len(data))
+    return data @ (v / np.sqrt(lam)) @ v.T
 
 
 def test_mutual_information_prefers_independent_axes():
@@ -406,10 +408,23 @@ def test_mutual_information_prefers_independent_axes():
 def test_mutual_information_requires_whitened_input():
     rng = np.random.default_rng(58)
     raw = rng.standard_normal((200, 2)) * 3.0 + 1.0
-    with pytest.raises(DataError, match="centered"):
+    with pytest.raises(DataError, match="input is not white"):
         mutual_information_proxy(make_component_panel(raw), EntropyEstimatorConfig())
     centered = raw - raw.mean(axis=0)
-    with pytest.raises(DataError, match="variance"):
+    with pytest.raises(DataError, match="input is not white"):
         mutual_information_proxy(
             make_component_panel(centered), EntropyEstimatorConfig()
         )
+
+
+def test_mutual_information_refuses_a_correlated_unit_variance_panel():
+    # each column is centred with unit variance, but they correlate at 0.6:
+    # the proxy applies the unmixing search's whiteness rule, not a per-column one
+    rng = np.random.default_rng(59)
+    data = rng.standard_normal((2000, 2)) @ np.linalg.cholesky([[1.0, 0.6], [0.6, 1.0]]).T
+    data -= data.mean(axis=0)
+    data /= np.sqrt((data**2).mean(axis=0))
+    assert np.abs(data.mean(axis=0)).max() < 1e-12
+    assert np.abs((data**2).mean(axis=0) - 1.0).max() < 1e-12
+    with pytest.raises(DataError, match=r"input is not white .*max \|cov - I\| = [56]\."):
+        mutual_information_proxy(make_component_panel(data), EntropyEstimatorConfig())

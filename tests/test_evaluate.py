@@ -308,6 +308,15 @@ def test_build_tail_report_refuses_a_bad_order(k):
         build_tail_report(p, k, "in")
 
 
+@pytest.mark.parametrize("e", [530, -540])
+def test_tail_report_kurtosis_is_scale_free(e):
+    # m4 / m2**2 saturated to nan at 2**530 and read 0 / 0 as a constant column at 2**-540
+    p = generate_market(SyntheticMarketSpec(n_assets=6, m_samples=400))
+    want = build_tail_report(p, 2, "in").excess_kurtosis
+    got = build_tail_report(p.with_data(np.ldexp(p.data, e)), 2, "in").excess_kurtosis
+    assert np.array_equal(got, want)
+
+
 def test_tail_report_validation():
     rng = np.random.default_rng(73)
     p = panel_from(rng.standard_normal((200, 3)))

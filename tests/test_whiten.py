@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tailica.errors import DataError, ReductionWarning
+from tailica.errors import DataError, NumericalError, ReductionWarning
 from tailica.panel import SamplePanel
 from tailica.whiten import (
     WhiteningTransform,
@@ -148,6 +148,26 @@ def test_parameter_validation():
     small = panel_from(np.random.default_rng(1).standard_normal((4, 6)))
     with pytest.raises(ValueError):
         fit_whitening(small, d=5)
+
+
+def test_a_covariance_beyond_float64_is_a_numerical_error():
+    # neither panel is constant; 2**700 used to fail in LAPACK as a usage
+    # error and 2**-700 to read as an all-constant panel
+    p = correlated_panel(seed=69)
+    with pytest.raises(NumericalError, match="exceeds the float64 range"):
+        fit_whitening(p.with_data(np.ldexp(p.data, 700)), d=4)
+    with pytest.raises(NumericalError, match="underflows float64"):
+        fit_whitening(p.with_data(np.ldexp(p.data, -700)), d=4)
+
+
+@pytest.mark.parametrize("e", [700, -700])
+def test_standardized_fit_whitens_at_any_scale(e):
+    # the correlation matrix is in range whatever the panel's scale
+    p = correlated_panel(seed=69)
+    q = p.with_data(np.ldexp(p.data, e))
+    want = apply_whitening(fit_whitening(p, d=4, standardize=True), p)
+    got = apply_whitening(fit_whitening(q, d=4, standardize=True), q)
+    assert np.array_equal(got.data, want.data)
 
 
 def test_d_must_be_a_whole_number():

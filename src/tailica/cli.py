@@ -115,7 +115,6 @@ _SOLVER_OPTS = [
     Opt("--seed", int, 0, "random seed for the solver initialization"),
     Opt("--tol", float, 1e-8, "solver convergence tolerance"),
     Opt("--max-iter", int, 1000, "solver iteration cap"),
-    Opt("--eig-floor", float, 1e-10, "whitening eigenvalue floor relative to the largest, in (0, 1]"),
     Opt("--standardize", _parse_bool, False, "scale columns to unit variance before PCA"),
     Opt("--entropy-method", str, "correa", "entropy estimator: vasicek, ebrahimi or correa"),
     Opt("--entropy-window", _parse_window, None, "spacing window; 'auto' means floor(sqrt(m))"),
@@ -225,7 +224,7 @@ def _json(obj) -> str:
 def _run_pipeline(panel, params: dict) -> dict:
     """Fit every contrast order and return its artifacts by file name."""
     entropy_config = EntropyEstimatorConfig(params["entropy_method"], params["entropy_window"])
-    solver = {key: params[key] for key in ("seed", "tol", "max_iter", "eig_floor", "standardize")}
+    solver = {key: params[key] for key in ("seed", "tol", "max_iter", "standardize")}
     artifacts = run_experiment_artifacts(
         panel, params["boundary"], params["d"], params["k"], entropy_config, **solver
     )

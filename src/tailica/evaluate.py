@@ -302,7 +302,6 @@ def run_experiment_artifacts(
     seed: int = 0,
     tol: float = 1e-8,
     max_iter: int = 1000,
-    eig_floor: float = 1e-10,
     standardize: bool = False,
 ) -> ExperimentArtifacts:
     """Calibrate on the in-sample bucket; report and diagnose both buckets.
@@ -320,7 +319,7 @@ def run_experiment_artifacts(
         raise ValueError(f"duplicate contrast orders in k_list: {k_list}")
     entropy_config = entropy_config or EntropyEstimatorConfig()
     split = split_buckets(panel, boundary)
-    whitening = fit_whitening(split.in_sample, d, eig_floor=eig_floor, standardize=standardize)
+    whitening = fit_whitening(split.in_sample, d, standardize=standardize)
     z_in = apply_whitening(whitening, split.in_sample)
     z_out = apply_whitening(whitening, split.out_sample)
     identity = UnmixingMatrix(

@@ -3,8 +3,10 @@
 The fitted transform maps an n-column panel to d <= n uncorrelated
 unit-variance columns, the constraint set the unmixing search moves on.
 Covariance uses the 1/m convention; one beyond float64's range is a
-``NumericalError``.  Eigenvectors are ordered by descending eigenvalue
-with a fixed sign convention (largest-magnitude coordinate positive) so
+``NumericalError``.  Constancy is read from the data, not from a rounded
+covariance, and the rank floor is fixed at 1e-10 times the largest
+eigenvalue.  Eigenvectors are ordered by descending eigenvalue with a
+fixed sign convention (largest-magnitude coordinate positive) so
 repeated fits are bitwise identical.  ``_check_white`` is the package's
 one whiteness rule (means and covariance within 1e-6 of 0 and the
 identity): the unmixing search and the mutual-information proxy refuse
@@ -31,6 +33,8 @@ __all__ = [
     "whitening_to_csv",
     "whitening_from_csv",
 ]
+
+_EIG_FLOOR = 1e-10  # rank floor, relative to the largest eigenvalue
 
 
 @dataclass(frozen=True)
@@ -85,30 +89,27 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 def _check_white(panel: SamplePanel) -> None:
     data = panel.data
-    cov = data.T @ data / len(data)
-    mean_err = np.abs(np.ones(len(data)) @ data / len(data)).max()
-    cov_err = np.abs(cov - np.eye(data.shape[1])).max()
-    if mean_err > 1e-6 or cov_err > 1e-6:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads as inf below
+        cov = data.T @ data / len(data)
+        mean_err = np.abs(np.ones(len(data)) @ data / len(data)).max()
+        cov_err = np.abs(cov - np.eye(data.shape[1])).max()
+    if not (mean_err <= 1e-6 and cov_err <= 1e-6):  # so NaN fails too
         raise DataError(
             f"input is not white (max |mean| = {mean_err:.3e}, "
             f"max |cov - I| = {cov_err:.3e}); apply whitening first"
         )
 
 
-def fit_whitening(
-    panel: SamplePanel,
-    d: int,
-    eig_floor: float = 1e-10,
-    standardize: bool = False,
-) -> WhiteningTransform:
+def fit_whitening(panel: SamplePanel, d: int, standardize: bool = False) -> WhiteningTransform:
     """Fit a whitening transform on a panel, keeping the top d eigenvectors.
 
-    Eigenvalues below ``eig_floor`` times the largest are dropped and d is
-    reduced accordingly (reported via :class:`ReductionWarning`); the floor
-    must lie in (0, 1], since above 1 it would drop every eigenvalue.  With
-    ``standardize`` each column is scaled to unit variance before PCA
-    (correlation-matrix whitening); the scaling is folded into the stored
-    projection, so applying the transform needs no extra state.
+    Eigenvalues below 1e-10 times the largest (``_EIG_FLOOR``) are dropped
+    and d is reduced to match, with a :class:`ReductionWarning`.  Constancy
+    is read from the data: an all-constant panel is a ``DataError``, and so
+    under ``standardize`` is any constant column.  With ``standardize`` each
+    column is scaled to unit variance before PCA (correlation-matrix
+    whitening), folded into the stored projection, so applying the
+    transform needs no extra state.
     """
     d = _check_order(d, "d")
     n = panel.n
@@ -116,9 +117,14 @@ def fit_whitening(
         raise ValueError(f"d={d} exceeds the panel's {n} columns")
     if panel.m <= d:
         raise ValueError(f"need more than d={d} rows, got {panel.m}")
-    if not 0.0 < eig_floor <= 1.0:
-        raise ValueError(f"eig_floor must lie in (0, 1], got {eig_floor}")
     x = panel.data
+    constant = x[0] == x[-1]  # only these columns can be constant; scan just them
+    maybe = np.flatnonzero(constant)
+    constant[maybe] = np.all(x[:, maybe] == x[0, maybe], axis=0)
+    if standardize and constant.any():
+        raise DataError(f"column {panel.column_ids[np.argmax(constant)]!r} is constant; cannot standardize")
+    if constant.all():
+        raise DataError("every column is constant (all-constant panel)")
     with np.errstate(over="ignore", invalid="ignore"):  # checked on cov below
         mean = x.mean(axis=0)
         xc = x - mean
@@ -126,26 +132,21 @@ def fit_whitening(
         if standardize:  # root mean square of ratios to 2**exp2, so no square leaves the range
             exp2 = _pow2_exponents(xc)
             scale = np.ldexp(np.sqrt((np.ldexp(xc, -exp2) ** 2).mean(axis=0)), exp2)
-            if np.any(scale == 0.0):
-                j = int(np.argmax(scale == 0.0))
-                raise DataError(f"column {panel.column_ids[j]!r} is constant; cannot standardize")
             xc = xc / scale
         cov = xc.T @ xc / panel.m
     if not np.all(np.isfinite(cov)):
         raise NumericalError("covariance exceeds the float64 range; rescale the panel")
-    if np.abs(cov).max() < np.finfo(np.float64).tiny and np.any(x != x[0]):
+    if np.abs(cov).max() < np.finfo(np.float64).tiny:  # so the top eigenvalue is positive
         raise NumericalError("covariance underflows float64 (largest entry zero or subnormal); rescale the panel")
     eigenvalues, vectors = np.linalg.eigh(cov)
     order = np.argsort(eigenvalues)[::-1]
     eigenvalues = eigenvalues[order]
     vectors = _fix_signs(vectors[:, order])
-    if eigenvalues[0] <= 0.0:
-        raise DataError("covariance has no positive eigenvalues (all-constant panel)")
-    keep = int(np.sum(eigenvalues >= eig_floor * eigenvalues[0]))
+    keep = int(np.sum(eigenvalues >= _EIG_FLOOR * eigenvalues[0]))
     if keep < d:
         warnings.warn(
             f"requested d={d} but only {keep} eigenvalues clear the floor "
-            f"{eig_floor:g} x largest; reducing to d={keep}",
+            f"{_EIG_FLOOR:g} x largest; reducing to d={keep}",
             ReductionWarning,
             stacklevel=2,
         )

@@ -11,7 +11,7 @@ import pytest
 
 import tailica.cli as cli
 from tailica.cli import main
-from tailica.errors import DroppedDataWarning, NumericalError, TieWarning
+from tailica.errors import DroppedDataWarning, NumericalError, ReductionWarning, TieWarning
 from tailica.evaluate import SyntheticMarketSpec, generate_market
 from tailica.ica import unmixing_from_csv
 from tailica.panel import SamplePanel, center, read_wide_csv, write_wide_csv
@@ -328,6 +328,37 @@ def test_fit_reports_a_covariance_beyond_float64_as_numerical(tmp_path, capsys, 
     argv = ["fit", "--input", str(path), "--d", "4", "--k", "2", "--boundary", p.row_ids[200]]
     assert main(argv + ["--out", str(tmp_path / "run")]) == 3
     assert f"tailica: numerical error: covariance {message}" in capsys.readouterr().err
+
+
+def test_fit_reads_constancy_from_the_data(tmp_path, capsys):
+    # 400 copies of 0.1 do not sum to 40.0, so a constant column's
+    # covariance is rounding noise; the fit reads constancy from the entries
+    dates = tuple((datetime.date(2020, 1, 1) + datetime.timedelta(days=i)).isoformat() for i in range(400))
+    constant, one = tmp_path / "constant.csv", tmp_path / "one.csv"
+    write_wide_csv(SamplePanel(np.full((400, 3), 0.1) * [1.0, 3.0, 1.0], ("A", "B", "C"), dates), constant)
+    normal = np.random.default_rng(0).standard_normal((400, 2))
+    write_wide_csv(SamplePanel(np.insert(normal, 0, 0.1, axis=1), ("A", "B", "C"), dates), one)
+    argv = ["fit", "--d", "3", "--k", "2", "--boundary", "2020-08-01", "--out", str(tmp_path / "run")]
+    assert main([*argv, "--input", str(constant)]) == 2
+    assert "tailica: data error: every column is constant (all-constant panel)" in capsys.readouterr().err
+    assert main([*argv, "--input", str(one), "--standardize"]) == 2
+    assert "tailica: data error: column 'A' is constant; cannot standardize" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--input", str(one)]) == 0
+    reduced = [str(w.message) for w in caught if w.category is ReductionWarning]
+    assert len(reduced) == 1 and reduced[0].endswith("reducing to d=2")
+    assert whitening_from_csv((tmp_path / "run" / "whitening.csv").read_text()).d == 2
+
+
+def test_the_whitening_floor_is_not_an_option(tmp_path, market_csv, capsys):
+    argv = ["fit", "--input", str(market_csv), "--boundary", "2014-07-20", "--d", "4", "--out", str(tmp_path / "r")]
+    assert main([*argv, "--eig-floor", "1e-6"]) == 1
+    config = tmp_path / "run.conf"
+    config.write_text("eig_floor=1e-6\n")
+    assert main([*argv, "--config", str(config)]) == 1
+    assert "unknown config keys: eig_floor" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_transform_refuses_an_unmixing_with_bad_counts(tmp_path, market_csv, capsys):

@@ -6,10 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tailica.entropy import EntropyEstimatorConfig, mutual_information_proxy
 from tailica.errors import DataError, NumericalError, ReductionWarning
+from tailica.ica import ContrastSpec, fit_ica
 from tailica.panel import SamplePanel
 from tailica.whiten import (
     WhiteningTransform,
+    _check_white,
     apply_whitening,
     fit_whitening,
     whitening_from_csv,
@@ -124,6 +127,40 @@ def test_standardize_rejects_constant_column():
         fit_whitening(p, d=1, standardize=True)
 
 
+@pytest.mark.parametrize("v", [0.1, 0.3, 7.7])
+def test_a_constant_panel_is_read_from_the_data(v):
+    # 400 copies of v do not sum to 400 v, so the covariance is rounding
+    # noise (about 1e-30), not zero; constancy comes from the entries
+    p = panel_from(np.full((400, 3), v) * [1.0, 3.0, 1.0])
+    with pytest.raises(DataError, match="all-constant panel"):
+        fit_whitening(p, d=3)
+    with pytest.raises(DataError, match="column 'S0000' is constant; cannot standardize"):
+        fit_whitening(p, d=3, standardize=True)
+
+
+def test_one_constant_column_that_does_not_sum_exactly():
+    p = panel_from(np.insert(np.random.default_rng(0).standard_normal((400, 2)), 1, 0.1, axis=1))
+    with pytest.raises(DataError, match="column 'S0001' is constant; cannot standardize"):
+        fit_whitening(p, d=3, standardize=True)
+    with pytest.warns(ReductionWarning, match="reducing to d=2"):
+        assert fit_whitening(p, d=3).d == 2
+
+
+def test_the_whiteness_rule_refuses_an_overflow_without_a_warning():
+    # the suite turns RuntimeWarning into an error, so a matmul overflow
+    # warning ahead of the DataError would fail this test
+    big = panel_from(np.random.default_rng(0).standard_normal((400, 2)) * 1e200)
+    with pytest.raises(DataError, match=r"input is not white .*max \|cov - I\| = inf"):
+        fit_ica(big, ContrastSpec(2), seed=0)
+    with pytest.raises(DataError, match=r"input is not white .*max \|cov - I\| = inf"):
+        mutual_information_proxy(big, EntropyEstimatorConfig())
+    # means exactly zero, and products of +-2**1328 that BLAS may sum to
+    # NaN off the diagonal (it does in this order with OpenBLAS): NaN is not white
+    signs = np.repeat([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]], 100, axis=0)
+    with pytest.raises(DataError, match="input is not white"):
+        _check_white(panel_from(np.ldexp(np.random.default_rng(0).permutation(signs), 664)))
+
+
 def test_fit_is_deterministic():
     p = correlated_panel(seed=67)
     a = fit_whitening(p, d=5)
@@ -139,10 +176,6 @@ def test_parameter_validation():
         fit_whitening(p, d=0)
     with pytest.raises(ValueError):
         fit_whitening(p, d=7)
-    with pytest.raises(ValueError):
-        fit_whitening(p, d=6, eig_floor=0.0)
-    with pytest.raises(ValueError, match=r"eig_floor must lie in \(0, 1\], got 2.0"):
-        fit_whitening(p, d=4, eig_floor=2.0)  # above 1 no eigenvalue clears it
     with pytest.raises(DataError, match="all-constant panel"):
         fit_whitening(panel_from(np.ones((20, 3))), d=2)
     small = panel_from(np.random.default_rng(1).standard_normal((4, 6)))

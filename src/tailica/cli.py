@@ -12,7 +12,6 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -32,7 +31,7 @@ from .evaluate import (
 )
 from .ica import transform as unmix_transform
 from .ica import unmixing_from_csv, unmixing_to_csv
-from .panel import SamplePanel, _csv_text, _is_long_header, _open_text, center, ingest_csv
+from .panel import SamplePanel, _csv_text, _open_text, center, ingest_csv
 from .panel import read_wide_csv, write_wide_csv
 from .tailcov import tail_covariance, tail_covariance_to_csv
 from .whiten import apply_whitening, whitening_from_csv, whitening_to_csv
@@ -121,8 +120,7 @@ _SOLVER_OPTS = [
 ]
 
 _INPUT_OPTS = [
-    Opt("--input", str, None, "input CSV path", required=True),
-    Opt("--format", str, "auto", "input layout: auto, long or wide"),
+    Opt("--input", str, None, "input CSV: long if its header is date,symbol,return, else wide", required=True),
     Opt("--fill-missing", _parse_bool, True, "fill absent (date,symbol) cells with 0.0 (long format)"),
 ]
 
@@ -136,7 +134,7 @@ _OUT_DIR = Opt("--out", str, None, "output directory", required=True)
 def _load_config(path: str) -> dict:
     values = {}
     try:
-        with open(path, encoding="utf-8-sig") as handle:
+        with _open_text(path) as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -145,7 +143,7 @@ def _load_config(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, value = line.split("=", 1)
                 values[key.strip().replace("-", "_")] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, DataError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     return values
 
@@ -179,24 +177,12 @@ def _write_file(path: str, content) -> None:
     if isinstance(content, SamplePanel):
         write_wide_csv(content, path)
         return
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _open_text(path, "w") as handle:
         handle.write(content)
 
 
 def _load_panel(params: dict) -> SamplePanel:
-    path, layout = params["input"], params["format"]
-    if layout == "auto":
-        try:  # the header as csv.reader splits it, which is how both readers see it
-            with open(path, newline="", encoding="utf-8-sig") as handle:
-                header = next(csv.reader(handle), [])
-        except (UnicodeDecodeError, csv.Error):
-            header = []  # read_wide_csv reports the fault as a DataError
-        layout = "long" if _is_long_header(header) else "wide"
-    if layout == "long":
-        return ingest_csv(path, params["fill_missing"])
-    if layout == "wide":
-        return read_wide_csv(path)
-    raise UsageError(f"--format must be auto, long or wide, got {layout!r}")
+    return ingest_csv(params["input"], params["fill_missing"])
 
 
 def _market_spec(params: dict, seed_key: str) -> SyntheticMarketSpec:

@@ -285,9 +285,15 @@ _CHUNK = 1 << 16  # characters per read of a long CSV, then to the end of that l
 _BATCH = 1 << 11  # records per batch when csv.reader parses a long CSV
 
 
-def _is_long_header(header: list) -> bool:
-    """Whether a header row, as ``csv.reader`` splits it, is the long layout's."""
-    return [cell.strip().lower() for cell in header] == ["date", "symbol", "return"]
+def _read_header(handle) -> list:
+    """A CSV's first record, as ``csv.reader`` splits it."""
+    try:
+        header = next(csv.reader(handle), None)
+    except csv.Error as exc:
+        raise DataError(f"line 1: {exc}") from None
+    if header is None:
+        raise DataError("empty input file")
+    return header
 
 
 class _LongRows:
@@ -393,9 +399,13 @@ class _LongRows:
 
 
 def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
-    """Build a panel from long-format CSV rows ``date,symbol,return``.
+    """Build a panel from a CSV whose header gives its layout.
 
-    Dates must be ``YYYY-MM-DD``; dates and symbols are stripped of
+    A header ``date,symbol,return`` (each field stripped, in any case) is
+    the long layout, one observation per row; any other header is read as
+    the wide layout, as by ``read_wide_csv``, and ``fill_missing`` is unused.
+
+    Long dates must be ``YYYY-MM-DD``; dates and symbols are stripped of
     surrounding whitespace.  The cross product of observed dates and
     symbols is assembled with dates sorted ascending and symbols sorted
     alphabetically.  Pairs not present in the file are filled with 0.0
@@ -416,16 +426,11 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
     after the codes are freed.  Traced peak: 26 bytes a row on a
     500,000-row file of 100 symbols.
     """
-    rows = _LongRows()
     with _open_text(path_or_file) as handle:
-        try:
-            header = next(csv.reader(handle), None)
-        except csv.Error as exc:
-            raise DataError(f"line 1: {exc}") from None
-        if header is None:
-            raise DataError("empty input file")
-        if not _is_long_header(header):
-            raise DataError(f"expected header date,symbol,return, got {header!r}")
+        header = _read_header(handle)
+        if [cell.strip().lower() for cell in header] != ["date", "symbol", "return"]:
+            return _read_wide_rows(handle, header)
+        rows = _LongRows()
         while text := handle.read(_CHUNK):
             text += handle.readline()
             # csv.reader reads quotes and CRs its own way, and NULs before Python 3.11
@@ -472,34 +477,34 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
 def read_wide_csv(path_or_file) -> SamplePanel:
     """Read a wide-format panel: header ``date,<sym1>,<sym2>,...``, one row per date."""
     with _open_text(path_or_file) as handle:
-        reader = csv.reader(handle)
-        lineno = 0  # records read
-        try:
-            header = next(reader, None)
-            lineno = 1
-            if header is None:
-                raise DataError("empty input file")
-            if len(header) < 2 or header[0].strip().lower() != "date":
-                raise DataError("wide CSV must start with a 'date' column")
-            columns = tuple(h.strip() for h in header[1:])
-            rows = []
-            dates = []
-            for row in reader:
-                lineno += 1
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(header):
-                    raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-                date = _check_date(row[0].strip(), f"line {lineno}")
-                if dates and date <= dates[-1]:
-                    raise DataError(f"line {lineno}: row dates not strictly increasing at {date!r}")
-                dates.append(date)
-                try:
-                    rows.append([float(v) for v in row[1:]])
-                except ValueError:
-                    raise DataError(f"line {lineno}: bad numeric field") from None
-        except csv.Error as exc:
-            raise DataError(f"line {lineno + 1}: {exc}") from None
+        return _read_wide_rows(handle, _read_header(handle))
+
+
+def _read_wide_rows(handle, header: list) -> SamplePanel:
+    """The wide panel of ``header`` and the records after it in ``handle``."""
+    if len(header) < 2 or header[0].strip().lower() != "date":
+        raise DataError("wide CSV must start with a 'date' column")
+    columns = tuple(h.strip() for h in header[1:])
+    rows = []
+    dates = []
+    lineno = 1  # records read
+    try:
+        for row in csv.reader(handle):
+            lineno += 1
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            date = _check_date(row[0].strip(), f"line {lineno}")
+            if dates and date <= dates[-1]:
+                raise DataError(f"line {lineno}: row dates not strictly increasing at {date!r}")
+            dates.append(date)
+            try:
+                rows.append([float(v) for v in row[1:]])
+            except ValueError:
+                raise DataError(f"line {lineno}: bad numeric field") from None
+    except csv.Error as exc:
+        raise DataError(f"line {lineno + 1}: {exc}") from None
     if not rows:
         raise DataError("no data rows in input")
     data = np.array(rows)

@@ -126,7 +126,7 @@ def fit_whitening(panel: SamplePanel, d: int, standardize: bool = False) -> Whit
     if constant.all():
         raise DataError("every column is constant (all-constant panel)")
     with np.errstate(over="ignore", invalid="ignore"):  # checked on cov below
-        mean = x.mean(axis=0)
+        mean = np.where(constant, x[0], x.mean(axis=0))  # a constant column centres to exact zeros
         xc = x - mean
         scale = None
         if standardize:  # root mean square of ratios to 2**exp2, so no square leaves the range

@@ -80,20 +80,18 @@ def test_undecodable_input_is_a_data_error(tmp_path, capsys):
         ("header.csv", b"date,symbol,return\xff\n2020-01-01,A,1.0\n"),
     ]:
         (tmp_path / name).write_bytes(text)
-        for layout in ("auto", "long", "wide"):
-            argv = ["ingest", "--input", str(tmp_path / name), "--format", layout, "--out", str(out)]
-            assert main(argv) == 2
-            assert "tailica: data error: cannot decode input" in capsys.readouterr().err
-            assert not out.exists()
+        assert main(["ingest", "--input", str(tmp_path / name), "--out", str(out)]) == 2
+        assert "tailica: data error: cannot decode input" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_auto_detect_reads_a_quoted_long_header(tmp_path):
-    src = tmp_path / "qh.csv"
-    src.write_text('"date","symbol","return"\n2020-01-01,AAA,0.5\n2020-01-02,AAA,1.5\n')
-    assert main(["ingest", "--input", str(src), "--out", str(tmp_path / "auto.csv")]) == 0
-    long_args = ["ingest", "--input", str(src), "--format", "long", "--out", str(tmp_path / "long.csv")]
-    assert main(long_args) == 0
-    assert (tmp_path / "auto.csv").read_bytes() == (tmp_path / "long.csv").read_bytes()
+    rows = "2020-01-01,AAA,0.5\n2020-01-02,AAA,1.5\n"
+    for name, header in [("qh", '"date","symbol","return"'), ("plain", "date,symbol,return")]:
+        src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_out.csv"
+        src.write_text(f"{header}\n{rows}")
+        assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+    assert (tmp_path / "qh_out.csv").read_bytes() == (tmp_path / "plain_out.csv").read_bytes()
 
 
 def test_inputs_may_start_with_a_byte_order_mark(tmp_path):
@@ -103,19 +101,18 @@ def test_inputs_may_start_with_a_byte_order_mark(tmp_path):
         plain, marked = tmp_path / f"{name}.csv", tmp_path / f"{name}_bom.csv"
         plain.write_bytes(text.encode())
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
-        for layout in ("auto", name):
-            outs = [tmp_path / f"{name}_{layout}_{i}.csv" for i in range(2)]
-            for src, out in zip((plain, marked), outs):
-                assert main(["ingest", "--input", str(src), "--format", layout, "--out", str(out)]) == 0
-            assert outs[0].read_bytes() == outs[1].read_bytes()
+        outs = [tmp_path / f"{name}_{i}.csv" for i in range(2)]
+        for src, out in zip((plain, marked), outs):
+            assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
     config = tmp_path / "run.conf"
-    config.write_bytes(b"\xef\xbb\xbfformat=wide\n")
+    config.write_bytes(b"\xef\xbb\xbffill-missing=false\n")
     out = tmp_path / "config.csv"
     argv = ["ingest", "--config", str(config), "--input", str(tmp_path / "wide_bom.csv"), "--out", str(out)]
     assert main(argv) == 0
     manifest = json.loads((tmp_path / "config.csv.manifest.json").read_text())
-    assert manifest["parameters"]["format"] == "wide"
-    assert out.read_bytes() == (tmp_path / "wide_wide_0.csv").read_bytes()
+    assert manifest["parameters"]["fill_missing"] is False
+    assert out.read_bytes() == (tmp_path / "wide_0.csv").read_bytes()
 
 
 def test_fit_writes_all_artifacts(tmp_path, market_csv):
@@ -361,6 +358,38 @@ def test_the_whitening_floor_is_not_an_option(tmp_path, market_csv, capsys):
     assert not (tmp_path / "r").exists()
 
 
+def test_fit_centres_a_large_constant_column_at_its_value(tmp_path):
+    # 400 copies of 1e10 + 0.1 average about 6e-5 off the value, a variance
+    # above the rank floor; centred at its value the column drops out
+    dates = tuple((datetime.date(2020, 1, 1) + datetime.timedelta(days=i)).isoformat() for i in range(400))
+    src = tmp_path / "large.csv"
+    normal = np.random.default_rng(0).standard_normal((400, 2))
+    write_wide_csv(SamplePanel(np.insert(normal, 2, 1e10 + 0.1, axis=1), ("A", "B", "C"), dates), src)
+    argv = ["fit", "--input", str(src), "--d", "3", "--k", "2", "--boundary", "2020-08-01"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+    reduced = [str(w.message) for w in caught if w.category is ReductionWarning]
+    assert len(reduced) == 1 and reduced[0].endswith("reducing to d=2")
+    whitening = whitening_from_csv((tmp_path / "run" / "whitening.csv").read_text())
+    assert whitening.d == 2 and whitening.mean[2] == 1e10 + 0.1
+
+
+def test_the_input_layout_is_not_an_option(tmp_path, market_csv, capsys):
+    # the input's header decides its layout
+    for command in ("ingest", "fit", "entropy", "tailcov", "scatter"):
+        out = tmp_path / command
+        assert main([command, "--input", str(market_csv), "--format", "wide", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --format wide" in capsys.readouterr().err
+        assert not out.exists()
+    config = tmp_path / "run.conf"
+    config.write_text("format=wide\n")
+    out = tmp_path / "config.csv"
+    assert main(["ingest", "--config", str(config), "--input", str(market_csv), "--out", str(out)]) == 1
+    assert "unknown config keys: format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transform_refuses_an_unmixing_with_bad_counts(tmp_path, market_csv, capsys):
     whitening = tmp_path / "whitening.csv"
     whitening.write_text(whitening_to_csv(fit_whitening(read_wide_csv(market_csv), 2)))
@@ -559,11 +588,6 @@ def test_usage_error_exit_codes(tmp_path, market_csv, capsys):
     )
     assert rc == 1
     assert not (tmp_path / "r").exists()
-    # an unknown input layout
-    argv = ["ingest", "--input", str(market_csv), "--format", "bogus", "--out", str(tmp_path / "r")]
-    assert main(argv) == 1
-    assert "--format must be auto, long or wide, got 'bogus'" in capsys.readouterr().err
-    assert not (tmp_path / "r").exists()
     # no subcommand prints help and fails
     assert main([]) == 1
     capsys.readouterr()
@@ -576,7 +600,7 @@ def test_data_error_exit_codes(tmp_path, capsys):
     # malformed input data
     bad = tmp_path / "bad.csv"
     bad.write_text("date,AAA\n2020-01-01,not-a-number\n")
-    rc = main(["entropy", "--input", str(bad), "--format", "wide"])
+    rc = main(["entropy", "--input", str(bad)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "data error" in err

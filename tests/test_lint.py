@@ -4,8 +4,10 @@ Every imported name in a ``tailica`` module is used, every private
 top-level name is referenced in the package besides its definition, every
 name a module exports in ``__all__`` exists and ``tailica`` exports exactly
 those names, and the package imports nothing beyond the standard library
-and numpy, and no module that starts threads or processes.  Every ``open()`` names its encoding.  Every benchmark record
-``BENCH_<n>.json`` that the documents or the package cite is committed.
+and numpy, and no module that starts threads or processes.  The one
+``open()`` is in ``panel._open_text`` and names its encoding, and ``cli``
+imports no ``csv``.  Every benchmark record ``BENCH_<n>.json`` that the
+documents or the package cite is committed.
 The solver calls ``np.linalg.svd`` only in the helper that retries it.
 """
 
@@ -118,14 +120,31 @@ def test_no_module_imports_a_thread_or_process_pool():
 
 
 def test_every_open_names_an_encoding():
-    # without one, file text follows the machine's locale
-    bare = []
+    # without one, file text follows the machine's locale; panel._open_text is
+    # the one open(), so every file keeps its UTF-8, byte-order-mark, newline
+    # and decode-error rule
+    tree = ast.parse((SRC / "panel.py").read_text(encoding="utf-8"))
+    (helper,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_open_text"]
+    inside = {id(node) for node in ast.walk(helper)}
+    bare, outside = [], []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        nodes = ast.walk(tree) if path.name == "panel.py" else ast.walk(ast.parse(path.read_text()))
+        for node in nodes:
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
                 if not any(keyword.arg == "encoding" for keyword in node.keywords):
                     bare.append(f"{path.name}:{node.lineno}")
+                if id(node) not in inside:
+                    outside.append(f"{path.name}:{node.lineno}")
     assert not bare, "open() without encoding=: " + ", ".join(bare)
+    assert not outside, "open() outside panel._open_text: " + ", ".join(outside)
+
+
+def test_the_cli_leaves_csv_to_the_panel_module():
+    # panel reads an input's layout from its header; cli only passes the path
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+    assert "csv" not in imported
 
 
 def test_every_cited_benchmark_record_exists_and_loads():

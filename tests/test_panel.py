@@ -936,6 +936,29 @@ def test_wide_csv_works_with_file_objects():
     assert np.array_equal(blank.data, p.data) and blank.row_ids == p.row_ids
 
 
+def test_ingest_csv_reads_any_other_header_as_wide():
+    # the header decides the layout: only date,symbol,return is long
+    rng = np.random.default_rng(5)
+    buf = io.StringIO()
+    write_wide_csv(make_panel(rng.standard_normal((4, 4)), columns=("symbol", "return", "a,b", " D")), buf)
+    texts = [
+        buf.getvalue(),
+        " Date ,AAA\n\n2020-01-01,0.5\n 2020-01-02 ,1.5\n",
+        "date,symbol\n2020-01-01,1\n2020-01-02,2\n",
+    ]
+    for text in texts:
+        got, expected = ingest_csv(io.StringIO(text)), read_wide_csv(io.StringIO(text))
+        assert got.data.tobytes() == expected.data.tobytes() and got.data.shape == expected.data.shape
+        assert (got.column_ids, got.row_ids) == (expected.column_ids, expected.row_ids)
+    for text in ("date,AAA\n2020-01-01,abc\n", "time,symbol,return\n2020-01-01,A,1.0\n"):
+        messages = []
+        for read in (read_wide_csv, ingest_csv):
+            with pytest.raises(DataError) as caught:
+                read(io.StringIO(text))
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+
 def test_wide_csv_matches_a_csv_writer_reference():
     rng = np.random.default_rng(7)
     data = rng.standard_t(df=3, size=(4, 4)) * 10.0 ** rng.integers(-300, 300, size=(4, 4))

@@ -146,6 +146,18 @@ def test_one_constant_column_that_does_not_sum_exactly():
         assert fit_whitening(p, d=3).d == 2
 
 
+def test_a_large_constant_column_is_centred_at_its_value():
+    # 400 copies of 1e10 + 0.1 average about 6e-5 off the value, which would
+    # leave a variance of 4e-9 above the rank floor: a constant column is
+    # centred at its value, so it drops out instead of whitening into a
+    # constant component that the solver refuses as not white
+    p = panel_from(np.insert(np.random.default_rng(0).standard_normal((400, 2)), 2, 1e10 + 0.1, axis=1))
+    with pytest.warns(ReductionWarning, match="reducing to d=2"):
+        white = fit_whitening(p, d=3)
+    assert white.mean[2] == 1e10 + 0.1
+    assert fit_ica(apply_whitening(white, p), ContrastSpec(2), seed=0).w.shape == (2, 2)
+
+
 def test_the_whiteness_rule_refuses_an_overflow_without_a_warning():
     # the suite turns RuntimeWarning into an error, so a matmul overflow
     # warning ahead of the DataError would fail this test

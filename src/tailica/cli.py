@@ -31,8 +31,7 @@ from .evaluate import (
 )
 from .ica import transform as unmix_transform
 from .ica import unmixing_from_csv, unmixing_to_csv
-from .panel import SamplePanel, _csv_text, _open_text, center, ingest_csv
-from .panel import read_wide_csv, write_wide_csv
+from .panel import SamplePanel, _csv_text, _open_text, center, ingest_csv, write_wide_csv
 from .tailcov import tail_covariance, tail_covariance_to_csv
 from .whiten import apply_whitening, whitening_from_csv, whitening_to_csv
 
@@ -245,7 +244,7 @@ def _cmd_fit(params: dict) -> dict:
 
 
 def _cmd_transform(params: dict) -> SamplePanel:
-    panel = read_wide_csv(params["input"])
+    panel = ingest_csv(params["input"])
     with _open_text(params["whitening"]) as handle:
         transform_w = whitening_from_csv(handle.read())
     result = apply_whitening(transform_w, panel)
@@ -329,7 +328,7 @@ _COMMANDS = {
         "apply a saved whitening (and optionally an unmixing) to a panel",
         _cmd_transform,
         [
-            Opt("--input", str, None, "wide-format panel CSV", required=True),
+            _INPUT_OPTS[0],  # --input, with no --fill-missing: a long file's absent cells are 0.0
             Opt("--whitening", str, None, "whitening transform CSV", required=True),
             Opt("--unmixing", str, None, "unmixing matrix CSV (optional: whiten only)"),
             _OUT_CSV,

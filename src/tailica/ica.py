@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .moments import _check_order, _pow2_exponents
-from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen
+from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen, _read_records
 from .tailcov import tail_covariance
 from .whiten import _check_white, _fix_signs
 
@@ -301,30 +301,22 @@ def unmixing_to_csv(W: UnmixingMatrix) -> str:
 
 
 def unmixing_from_csv(text: str) -> UnmixingMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DataError("empty unmixing file")
-    head = [part.strip() for part in lines[0].split(",")]
-    if head[0] != "tailica-W v1":
-        raise DataError("not a tailica-W v1 file")
-    meta = {}
-    for part in head[1:]:
-        if "=" not in part:
-            raise DataError(f"malformed header field {part!r}")
-        key, value = part.split("=", 1)
-        meta[key.strip()] = value.strip()
-    missing = {"k", "seed", "converged", "iterations"} - set(meta)
-    if missing:
-        raise DataError(f"unmixing header missing fields: {sorted(missing)}")
-    if meta["converged"] not in ("true", "false"):
-        raise DataError(f"bad converged flag {meta['converged']!r}")
+    """Read exactly ``unmixing_to_csv``'s layout: its four ``key=value`` fields in order, then rows."""
+    (_, *head), *rows = _read_records(text, "tailica-W v1", "unmixing")
+    fields = [part.strip().partition("=") for part in head]
+    malformed = [key for key, eq, _ in fields if not eq]  # the whole field, as it has no "="
+    if malformed:
+        raise DataError(f"malformed header field {malformed[0]!r}")
+    if [key.strip() for key, _, _ in fields] != ["k", "seed", "converged", "iterations"]:
+        raise DataError("unmixing header fields must be k, seed, converged and iterations, in that order")
+    k, seed, converged, iterations = (value.strip() for _, _, value in fields)
+    if converged not in ("true", "false"):
+        raise DataError(f"bad converged flag {converged!r}")
     try:
-        w = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        k = int(meta["k"])
-        seed = int(meta["seed"])
-        iterations = int(meta["iterations"])
+        w = np.array([[float(v) for v in row] for row in rows])
+        k, seed, iterations = int(k), int(seed), int(iterations)
     except ValueError:
         raise DataError("bad numeric field in unmixing file") from None
     return UnmixingMatrix(
-        w=w, k=k, seed=seed, iterations=iterations, converged=meta["converged"] == "true"
+        w=w, k=k, seed=seed, iterations=iterations, converged=converged == "true"
     )

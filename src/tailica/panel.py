@@ -26,7 +26,6 @@ __all__ = [
     "SamplePanel",
     "BucketSplit",
     "ingest_csv",
-    "read_wide_csv",
     "write_wide_csv",
     "split_buckets",
     "center",
@@ -286,14 +285,26 @@ _BATCH = 1 << 11  # records per batch when csv.reader parses a long CSV
 
 
 def _read_header(handle) -> list:
-    """A CSV's first record, as ``csv.reader`` splits it."""
+    """A CSV's first record, as ``csv.reader`` splits it, after any byte-order mark."""
+    first = handle.readline().removeprefix("\ufeff")
+    if not first:
+        raise DataError("empty input file")
     try:
-        header = next(csv.reader(handle), None)
+        return next(csv.reader(itertools.chain([first], handle)))
     except csv.Error as exc:
         raise DataError(f"line 1: {exc}") from None
-    if header is None:
-        raise DataError("empty input file")
-    return header
+
+
+def _read_records(text: str, magic: str, what: str) -> list:
+    """``text``'s csv records after any byte-order mark, blank ones skipped; the first starts ``magic``."""
+    try:
+        records = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+        records = [r for r in records if len(r) > 1 or r and r[0].strip()]
+    except csv.Error as exc:
+        raise DataError(f"bad {what} file: {exc}") from None
+    if not records or records[0][0].strip() != magic:
+        raise DataError(f"not a {magic} file")
+    return records
 
 
 class _LongRows:
@@ -403,7 +414,9 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
 
     A header ``date,symbol,return`` (each field stripped, in any case) is
     the long layout, one observation per row; any other header is read as
-    the wide layout, as by ``read_wide_csv``, and ``fill_missing`` is unused.
+    the wide layout ``date,<sym1>,<sym2>,...``, one row per date, and
+    ``fill_missing`` is unused.  A leading byte-order mark is dropped, from
+    a path or a text handle.
 
     Long dates must be ``YYYY-MM-DD``; dates and symbols are stripped of
     surrounding whitespace.  The cross product of observed dates and
@@ -474,12 +487,6 @@ def ingest_csv(path_or_file, fill_missing: bool = True) -> SamplePanel:
     return SamplePanel(data, tuple(symbol_list), _RowIndex(date_list))
 
 
-def read_wide_csv(path_or_file) -> SamplePanel:
-    """Read a wide-format panel: header ``date,<sym1>,<sym2>,...``, one row per date."""
-    with _open_text(path_or_file) as handle:
-        return _read_wide_rows(handle, _read_header(handle))
-
-
 def _read_wide_rows(handle, header: list) -> SamplePanel:
     """The wide panel of ``header`` and the records after it in ``handle``."""
     if len(header) < 2 or header[0].strip().lower() != "date":
@@ -499,10 +506,12 @@ def _read_wide_rows(handle, header: list) -> SamplePanel:
             if dates and date <= dates[-1]:
                 raise DataError(f"line {lineno}: row dates not strictly increasing at {date!r}")
             dates.append(date)
+            rows.append([])
             try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError:
-                raise DataError(f"line {lineno}: bad numeric field") from None
+                rows[-1].extend(map(float, row[1:]))
+            except ValueError:  # extend keeps the values before the one float rejects
+                j = len(rows[-1])
+                raise DataError(f"line {lineno}: bad numeric field {row[j + 1]!r} in column {columns[j]!r}") from None
     except csv.Error as exc:
         raise DataError(f"line {lineno + 1}: {exc}") from None
     if not rows:

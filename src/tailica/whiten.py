@@ -15,8 +15,6 @@ any panel that breaks it.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +22,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, ReductionWarning
 from .moments import _check_order, _pow2_exponents
-from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen
+from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen, _read_records
 
 __all__ = [
     "WhiteningTransform",
@@ -199,42 +197,29 @@ def whitening_to_csv(transform: WhiteningTransform) -> str:
 
 
 def whitening_from_csv(text: str) -> WhiteningTransform:
-    try:  # csv records, skipping blank lines
-        records = csv.reader(io.StringIO(text, newline=""))
-        lines = [r for r in records if len(r) > 1 or r and r[0].strip()]
-    except csv.Error as exc:
-        raise DataError(f"bad whitening file: {exc}") from None
-    if not lines or ",".join(lines[0]).strip() != "tailica-whiten v1":
+    """Read exactly ``whitening_to_csv``'s layout: its header, its four blocks in order, d rows."""
+    records = _read_records(text, "tailica-whiten v1", "whitening")
+    if len(records[0]) > 1:
         raise DataError("not a tailica-whiten v1 file")
-    fields = {}
-    row_idx = None
-    for i, line in enumerate(lines[1:], start=1):
-        key = line[0]
-        if key in ("columns", "mean", "eigenvalues"):
-            fields[key] = line[1:]
-        elif key == "projection":
-            try:
-                _, d, n = line
-                fields["shape"] = (int(d), int(n))
-            except ValueError:
-                raise DataError(f"malformed projection header {','.join(line)!r}") from None
-            row_idx = i + 1
-            break
-        else:
-            raise DataError(f"unexpected block {key!r} in whitening file")
-    missing = {"columns", "mean", "eigenvalues", "shape"} - set(fields)
-    if missing:
-        raise DataError(f"whitening file missing blocks: {sorted(missing)}")
-    d, n = fields["shape"]
-    rows = lines[row_idx : row_idx + d]
+    for i, key in enumerate(("columns", "mean", "eigenvalues", "projection"), start=1):
+        if i == len(records):
+            raise DataError(f"whitening file ends before its {key!r} block")
+        if records[i][0] != key:
+            raise DataError(f"unexpected block {records[i][0]!r} in whitening file, expected {key!r}")
+    (_, *columns), (_, *mean), (_, *eigenvalues), shape = records[1:5]
+    try:
+        d, n = map(int, shape[1:])
+    except ValueError:
+        raise DataError(f"malformed projection header {','.join(shape)!r}") from None
+    rows = records[5:]
     if len(rows) != d:
         raise DataError(f"expected {d} projection rows, found {len(rows)}")
     try:
         projection = np.array([[float(v) for v in r] for r in rows])
-        mean = np.array([float(v) for v in fields["mean"]])
-        eigenvalues = np.array([float(v) for v in fields["eigenvalues"]])
+        mean = np.array([float(v) for v in mean])
+        eigenvalues = np.array([float(v) for v in eigenvalues])
     except ValueError:
         raise DataError("bad numeric field in whitening file") from None
     if projection.shape != (d, n):
         raise DataError("projection rows have inconsistent width")
-    return WhiteningTransform(mean, projection, eigenvalues, tuple(fields["columns"]))
+    return WhiteningTransform(mean, projection, eigenvalues, tuple(columns))

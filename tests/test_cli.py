@@ -14,7 +14,7 @@ from tailica.cli import main
 from tailica.errors import DroppedDataWarning, NumericalError, ReductionWarning, TieWarning
 from tailica.evaluate import SyntheticMarketSpec, generate_market
 from tailica.ica import unmixing_from_csv
-from tailica.panel import SamplePanel, center, read_wide_csv, write_wide_csv
+from tailica.panel import SamplePanel, center, ingest_csv, write_wide_csv
 from tailica.tailcov import tail_covariance, tail_covariance_to_csv
 from tailica.whiten import fit_whitening, whitening_from_csv, whitening_to_csv
 
@@ -30,7 +30,7 @@ def market_csv(tmp_path):
 
 
 def test_synth_writes_panel_and_manifest(market_csv):
-    panel = read_wide_csv(market_csv)
+    panel = ingest_csv(market_csv)
     assert (panel.m, panel.n) == (400, 8)
     manifest = json.loads((market_csv.parent / "market.csv.manifest.json").read_text())
     assert manifest["command"] == "synth"
@@ -59,7 +59,7 @@ def test_ingest_long_to_wide(tmp_path):
     )
     out = tmp_path / "wide.csv"
     assert main(["ingest", "--input", str(src), "--out", str(out)]) == 0
-    panel = read_wide_csv(out)
+    panel = ingest_csv(out)
     assert panel.column_ids == ("AAA", "BBB")
     np.testing.assert_array_equal(panel.data, [[0.25, -0.5], [1.0, 0.5]])
 
@@ -179,13 +179,13 @@ def test_transform_matches_library(tmp_path, market_csv):
         ]
     )
     assert rc == 0
-    got = read_wide_csv(trans)
+    got = ingest_csv(trans)
     assert got.column_ids == tuple(f"ic_{i + 1:04d}" for i in range(4))
     # reproduce through the library
     from tailica.ica import transform as lib_transform
     from tailica.whiten import apply_whitening
 
-    panel = read_wide_csv(market_csv)
+    panel = ingest_csv(market_csv)
     w = whitening_from_csv((out / "whitening.csv").read_text())
     u = unmixing_from_csv((out / "W_k2.csv").read_text())
     want = lib_transform(u, apply_whitening(w, panel))
@@ -218,12 +218,29 @@ def test_transform_whitening_only(tmp_path, market_csv):
         ]
     )
     assert rc == 0
-    assert read_wide_csv(trans).column_ids == ("pc_0001", "pc_0002", "pc_0003")
+    assert ingest_csv(trans).column_ids == ("pc_0001", "pc_0002", "pc_0003")
+
+
+def test_transform_reads_a_long_input_as_ingest_does(tmp_path, market_csv):
+    panel = ingest_csv(market_csv)
+    long_csv = tmp_path / "long.csv"
+    cells = zip(panel.row_ids, panel.data.tolist())
+    rows = [f"{date},{symbol},{value!r}" for date, row in cells for symbol, value in zip(panel.column_ids, row)]
+    long_csv.write_text("date,symbol,return\n" + "\n".join(rows[::-1]) + "\n")
+    wide_csv = tmp_path / "wide.csv"
+    assert main(["ingest", "--input", str(long_csv), "--out", str(wide_csv)]) == 0
+    whitening = tmp_path / "whitening.csv"
+    whitening.write_text(whitening_to_csv(fit_whitening(panel, 3)))
+    outs = [tmp_path / "from_long.csv", tmp_path / "from_wide.csv"]
+    for src, out in zip((long_csv, wide_csv), outs):
+        assert main(["transform", "--input", str(src), "--whitening", str(whitening), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert ingest_csv(outs[0]).row_ids == panel.row_ids
 
 
 def test_undecodable_transform_matrix_is_a_data_error(tmp_path, market_csv, capsys):
     whitening = tmp_path / "whitening.csv"
-    whitening.write_text(whitening_to_csv(fit_whitening(read_wide_csv(market_csv), 3)))
+    whitening.write_text(whitening_to_csv(fit_whitening(ingest_csv(market_csv), 3)))
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"tailica-W v1, k=2\xff\n")
     out = tmp_path / "o.csv"
@@ -235,7 +252,7 @@ def test_undecodable_transform_matrix_is_a_data_error(tmp_path, market_csv, caps
 
 
 def test_malformed_whitening_header_is_a_data_error(tmp_path, market_csv, capsys):
-    text = whitening_to_csv(fit_whitening(read_wide_csv(market_csv), 3))
+    text = whitening_to_csv(fit_whitening(ingest_csv(market_csv), 3))
     whitening = tmp_path / "whitening.csv"
     whitening.write_text(text.replace("projection,3,8", "projection,three,8"))
     out = tmp_path / "o.csv"
@@ -285,7 +302,7 @@ def test_tailcov_matches_library(tmp_path, market_csv, capsys):
     rc = main(["tailcov", "--input", str(market_csv), "--k", "2"])
     assert rc == 0
     text = capsys.readouterr().out
-    panel = center(read_wide_csv(market_csv))
+    panel = center(ingest_csv(market_csv))
     want = tail_covariance(panel, 2)
     first_row = text.strip().split("\n")[1].split(",")
     assert first_row[0] == "S0001"
@@ -300,7 +317,7 @@ def test_tailcov_takes_its_own_centering(tmp_path, capsys):
     path = tmp_path / "offset.csv"
     write_wide_csv(SamplePanel(data, ("A", "B"), dates), path)
     assert main(["tailcov", "--input", str(path), "--k", "2"]) == 0
-    want = tail_covariance(center(read_wide_csv(path)), 2)
+    want = tail_covariance(center(ingest_csv(path)), 2)
     assert capsys.readouterr().out == tail_covariance_to_csv(want)
 
 
@@ -392,7 +409,7 @@ def test_the_input_layout_is_not_an_option(tmp_path, market_csv, capsys):
 
 def test_transform_refuses_an_unmixing_with_bad_counts(tmp_path, market_csv, capsys):
     whitening = tmp_path / "whitening.csv"
-    whitening.write_text(whitening_to_csv(fit_whitening(read_wide_csv(market_csv), 2)))
+    whitening.write_text(whitening_to_csv(fit_whitening(ingest_csv(market_csv), 2)))
     bad = tmp_path / "W_k0.csv"
     bad.write_text("tailica-W v1, k=0, seed=0, converged=true, iterations=-4\n1.0,0.0\n0.0,1.0\n")
     out = tmp_path / "o.csv"
@@ -433,7 +450,7 @@ def test_quoted_column_ids_survive_fit_and_transform(tmp_path, quoted_csv):
     trans = tmp_path / "components.csv"
     argv = ["transform", "--input", str(quoted_csv), "--whitening", str(out / "whitening.csv")]
     assert main(argv + ["--unmixing", str(out / "W_k2.csv"), "--out", str(trans)]) == 0
-    assert read_wide_csv(trans).m == 300
+    assert ingest_csv(trans).m == 300
     for name in ("scatter_in.csv", "scatter_out.csv"):
         rows = list(csv.reader(io.StringIO((out / name).read_text())))
         assert [row[0] for row in rows[1:]] == list(QUOTED_IDS)

@@ -361,6 +361,20 @@ def test_unmixing_csv_rejects_tampering():
         unmixing_from_csv("tailica-W v1, k=2, seed, converged=true, iterations=1\n" + body)
 
 
+def test_unmixing_csv_reader_takes_only_the_writers_header():
+    text = unmixing_to_csv(UnmixingMatrix(np.eye(2), 2, 0, 1, True))
+    body = text.split("\n", 1)[1]
+    for head in (
+        "tailica-W v1, seed=0, k=2, converged=true, iterations=1",
+        "tailica-W v1, k=2, seed=0, converged=true, iterations=1, tol=1e-8",
+        "tailica-W v1, k=2, k=3, seed=0, converged=true, iterations=1",
+    ):
+        with pytest.raises(DataError, match="^unmixing header fields must be k, seed, converged and iterations"):
+            unmixing_from_csv(head + "\n" + body)
+    back = unmixing_from_csv("\ufeff" + text.replace("\n", "\n\n"))  # a mark and blank lines
+    assert unmixing_to_csv(back) == text
+
+
 def test_kkt_residual_dataclass_fields():
     r = KktResidual(off_diagonal_max=0.5, orthonormality_max=1e-12)
     assert r.off_diagonal_max == 0.5

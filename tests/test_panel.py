@@ -21,7 +21,6 @@ from tailica.panel import (
     SamplePanel,
     center,
     ingest_csv,
-    read_wide_csv,
     split_buckets,
     write_wide_csv,
 )
@@ -102,7 +101,7 @@ def _produced_panels():
         ("transform", lambda: transform(identity, market)),
         ("ingest_csv", lambda: ingest_csv(io.StringIO(long_csv))),
         ("ingest_csv fill_missing=False", lambda: ingest_csv(io.StringIO(long_csv), fill_missing=False)),
-        ("read_wide_csv", lambda: read_wide_csv(io.StringIO(text.getvalue()))),
+        ("ingest_csv wide", lambda: ingest_csv(io.StringIO(text.getvalue()))),
     ]
 
 
@@ -290,7 +289,7 @@ def test_non_canonical_dates_are_rejected(bad):
     with pytest.raises(DataError, match="line 3"):
         ingest_csv(io.StringIO(text))
     with pytest.raises(DataError, match="line 3"):
-        read_wide_csv(io.StringIO(f"date,A\n2019-12-30,1.0\n{bad},2.0\n"))
+        ingest_csv(io.StringIO(f"date,A\n2019-12-30,1.0\n{bad},2.0\n"))
 
 
 def test_derived_panels_keep_the_row_index():
@@ -900,9 +899,9 @@ def test_oversized_field_is_a_data_error_on_both_paths():
     with pytest.raises(DataError, match="^line 1: field larger than field limit"):
         ingest_csv(io.StringIO(f"date,symbol,{big}\n"))
     with pytest.raises(DataError, match="^line 3: field larger than field limit"):
-        read_wide_csv(io.StringIO(f"date,A\n2020-01-01,1.0\n2020-01-02,{big}\n"))
+        ingest_csv(io.StringIO(f"date,A\n2020-01-01,1.0\n2020-01-02,{big}\n"))
     with pytest.raises(DataError, match="^line 1: field larger than field limit"):
-        read_wide_csv(io.StringIO(f"date,{big}\n2020-01-01,1.0\n"))
+        ingest_csv(io.StringIO(f"date,{big}\n2020-01-01,1.0\n"))
 
 
 def test_undecodable_input_is_a_data_error(tmp_path):
@@ -912,7 +911,7 @@ def test_undecodable_input_is_a_data_error(tmp_path):
         ingest_csv(path)
     path.write_bytes(b"date,\xff\n2020-01-01,1.0\n")
     with pytest.raises(DataError, match="^cannot decode input: .* byte 0xff"):
-        read_wide_csv(path)
+        ingest_csv(path)
 
 
 def test_wide_csv_round_trip_is_exact(tmp_path):
@@ -920,7 +919,7 @@ def test_wide_csv_round_trip_is_exact(tmp_path):
     p = make_panel(rng.standard_t(df=3, size=(4, 2)) * 1e-7)
     path = tmp_path / "panel.csv"
     write_wide_csv(p, path)
-    q = read_wide_csv(path)
+    q = ingest_csv(path)
     assert q.column_ids == p.column_ids
     assert q.row_ids == p.row_ids
     assert np.array_equal(q.data, p.data)  # repr round-trip, bit for bit
@@ -930,33 +929,45 @@ def test_wide_csv_works_with_file_objects():
     p = make_panel()
     buf = io.StringIO()
     write_wide_csv(p, buf)
-    q = read_wide_csv(io.StringIO(buf.getvalue()))
+    q = ingest_csv(io.StringIO(buf.getvalue()))
     assert np.array_equal(q.data, p.data)
-    blank = read_wide_csv(io.StringIO(buf.getvalue().replace("\n", "\n\n  \n", 2)))
+    blank = ingest_csv(io.StringIO(buf.getvalue().replace("\n", "\n\n  \n", 2)))
     assert np.array_equal(blank.data, p.data) and blank.row_ids == p.row_ids
 
 
 def test_ingest_csv_reads_any_other_header_as_wide():
     # the header decides the layout: only date,symbol,return is long
     rng = np.random.default_rng(5)
+    written = make_panel(rng.standard_normal((4, 4)), columns=("symbol", "return", "a,b", " D"))
     buf = io.StringIO()
-    write_wide_csv(make_panel(rng.standard_normal((4, 4)), columns=("symbol", "return", "a,b", " D")), buf)
-    texts = [
-        buf.getvalue(),
-        " Date ,AAA\n\n2020-01-01,0.5\n 2020-01-02 ,1.5\n",
-        "date,symbol\n2020-01-01,1\n2020-01-02,2\n",
+    write_wide_csv(written, buf)
+    cases = [
+        (buf.getvalue(), written.data, ("symbol", "return", "a,b", "D"), DATES4),
+        (" Date ,AAA\n\n2020-01-01,0.5\n 2020-01-02 ,1.5\n", [[0.5], [1.5]], ("AAA",), DATES4[:2]),
+        ("date,symbol\n2020-01-01,1\n2020-01-02,2\n", [[1.0], [2.0]], ("symbol",), DATES4[:2]),
     ]
-    for text in texts:
-        got, expected = ingest_csv(io.StringIO(text)), read_wide_csv(io.StringIO(text))
-        assert got.data.tobytes() == expected.data.tobytes() and got.data.shape == expected.data.shape
-        assert (got.column_ids, got.row_ids) == (expected.column_ids, expected.row_ids)
-    for text in ("date,AAA\n2020-01-01,abc\n", "time,symbol,return\n2020-01-01,A,1.0\n"):
-        messages = []
-        for read in (read_wide_csv, ingest_csv):
-            with pytest.raises(DataError) as caught:
-                read(io.StringIO(text))
-            messages.append(str(caught.value))
-        assert messages[0] == messages[1]
+    for text, data, columns, dates in cases:
+        got = ingest_csv(io.StringIO(text))
+        assert got.data.tobytes() == np.array(data).tobytes() and got.data.shape == np.shape(data)
+        assert (got.column_ids, got.row_ids) == (columns, dates)
+    # a misspelled long header reads as wide: the error names the field and its column
+    with pytest.raises(DataError, match="^line 2: bad numeric field 'AAA' in column 'symbol'$"):
+        ingest_csv(io.StringIO("date,symbol,returns\n2020-01-01,AAA,0.5\n"))
+    with pytest.raises(DataError, match="^line 3: bad numeric field 'x' in column 'C'$"):
+        ingest_csv(io.StringIO("date,A,B,C\n2020-01-01,1,2,3\n2020-01-02,4,5,x\n"))
+    with pytest.raises(DataError, match="^wide CSV must start with a 'date' column$"):
+        ingest_csv(io.StringIO("time,symbol,return\n2020-01-01,A,1.0\n"))
+
+
+def test_a_byte_order_mark_is_dropped_from_a_text_handle():
+    long_text = "date,symbol,return\n2020-01-01,AAA,0.5\n2020-01-02,AAA,1.5\n"
+    wide_text = "date,AAA\n2020-01-01,0.5\n2020-01-02,1.5\n"
+    for text in (long_text, '"date","symbol","return"' + long_text[18:], wide_text):
+        plain, marked = ingest_csv(io.StringIO(text)), ingest_csv(io.StringIO("\ufeff" + text))
+        assert marked.data.tobytes() == plain.data.tobytes()
+        assert (marked.column_ids, marked.row_ids) == (plain.column_ids, plain.row_ids) == (("AAA",), DATES4[:2])
+    with pytest.raises(DataError, match="^empty input file$"):
+        ingest_csv(io.StringIO("\ufeff"))
 
 
 def test_wide_csv_matches_a_csv_writer_reference():
@@ -973,30 +984,30 @@ def test_wide_csv_matches_a_csv_writer_reference():
     for date, row in zip(DATES4, data):
         writer.writerow([date] + [repr(v) for v in row.tolist()])
     assert buf.getvalue() == ref.getvalue()
-    assert read_wide_csv(io.StringIO(buf.getvalue())).column_ids == ("a,b", 'say "hi"', "lead", "plain")
+    assert ingest_csv(io.StringIO(buf.getvalue())).column_ids == ("a,b", 'say "hi"', "lead", "plain")
 
 
-def test_read_wide_csv_errors():
+def test_wide_csv_errors():
     with pytest.raises(DataError):
-        read_wide_csv(io.StringIO(""))
+        ingest_csv(io.StringIO(""))
     with pytest.raises(DataError):
-        read_wide_csv(io.StringIO("symbol,AAA\n"))
+        ingest_csv(io.StringIO("symbol,AAA\n"))
     with pytest.raises(DataError, match="line 3"):
-        read_wide_csv(
+        ingest_csv(
             io.StringIO("date,AAA\n2020-01-01,1.0\n2020-01-02,1.0,9.9\n")
         )
     with pytest.raises(DataError, match="line 2"):
-        read_wide_csv(io.StringIO("date,AAA\n2020-01-01,abc\n"))
+        ingest_csv(io.StringIO("date,AAA\n2020-01-01,abc\n"))
     # out of order: reported on its line, ahead of a later bad field
     with pytest.raises(DataError, match="line 3: row dates not strictly increasing"):
-        read_wide_csv(io.StringIO("date,AAA\n2020-01-02,1.0\n2020-01-01,2.0\n2020-01-03,x\n"))
+        ingest_csv(io.StringIO("date,AAA\n2020-01-02,1.0\n2020-01-01,2.0\n2020-01-03,x\n"))
     with pytest.raises(DataError, match="line 3: row dates not strictly increasing"):
-        read_wide_csv(io.StringIO("date,AAA\n2020-01-02,1.0\n2020-01-02,2.0\n"))
+        ingest_csv(io.StringIO("date,AAA\n2020-01-02,1.0\n2020-01-02,2.0\n"))
     with pytest.raises(DataError, match="^no data rows in input"):
-        read_wide_csv(io.StringIO("date,AAA\n"))
+        ingest_csv(io.StringIO("date,AAA\n"))
 
 
-def test_read_wide_csv_checks_each_date_once(monkeypatch):
+def test_wide_csv_checks_each_date_once(monkeypatch):
     start = datetime.date(2020, 1, 1)
     dates = tuple((start + datetime.timedelta(days=i)).isoformat() for i in range(200))
     p = make_panel(np.zeros((200, 2)), dates=dates)
@@ -1010,7 +1021,7 @@ def test_read_wide_csv_checks_each_date_once(monkeypatch):
         return check(text, context)
 
     monkeypatch.setattr(panel_module, "_check_date", counting_check)
-    q = read_wide_csv(io.StringIO(buf.getvalue()))
+    q = ingest_csv(io.StringIO(buf.getvalue()))
     assert q.row_ids == p.row_ids
     assert len(calls) == 200
 
@@ -1026,7 +1037,7 @@ def test_wide_csv_round_trip_keeps_quoted_column_ids(tmp_path):
     p = make_panel(np.arange(16.0).reshape(4, 4), columns=ids)
     path = tmp_path / "panel.csv"
     write_wide_csv(p, path)
-    q = read_wide_csv(path)
+    q = ingest_csv(path)
     assert q.column_ids == ids
     assert np.array_equal(q.data, p.data)
 

@@ -272,6 +272,22 @@ def test_csv_rejects_tampered_input():
         whitening_from_csv("\n".join(lines[:-2] + [row + ",0.5" for row in lines[-2:]]))
 
 
+def test_csv_reader_takes_only_the_writers_layout():
+    text = whitening_to_csv(fit_whitening(correlated_panel(seed=73), d=2))
+    lines = text.strip().split("\n")
+    with pytest.raises(DataError, match="^expected 2 projection rows, found 3$"):
+        whitening_from_csv(text + lines[-1] + "\n")
+    swapped = "\n".join([lines[0], lines[1], lines[3], lines[2], *lines[4:]])
+    with pytest.raises(DataError, match="^unexpected block 'eigenvalues' in whitening file, expected 'mean'$"):
+        whitening_from_csv(swapped)
+    with pytest.raises(DataError, match="^whitening file ends before its 'projection' block$"):
+        whitening_from_csv("\n".join(lines[:4]))
+    with pytest.raises(DataError, match="^not a tailica-whiten v1 file$"):
+        whitening_from_csv(text.replace("tailica-whiten v1", "tailica-whiten v1,extra", 1))
+    back = whitening_from_csv("\ufeff" + text.replace("\n", "\n\n", 3))  # a mark and blank lines
+    assert whitening_to_csv(back) == text
+
+
 @pytest.mark.parametrize("header", ["projection,three,5", "projection,2", "projection,2,6,1"])
 def test_malformed_projection_header_is_a_data_error(header):
     text = whitening_to_csv(fit_whitening(correlated_panel(seed=72), d=2))

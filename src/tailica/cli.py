@@ -135,11 +135,11 @@ def _load_config(path: str) -> dict:
     try:
         with _open_text(path) as handle:
             for lineno, raw in enumerate(handle, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
+                line = raw.strip()
+                if not line or line.startswith("#"):  # a '#' after the first character is the value's
                     continue
                 if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                    raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = line.split("=", 1)
                 values[key.strip().replace("-", "_")] = value.strip()
     except (OSError, DataError) as exc:

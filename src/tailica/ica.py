@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .moments import _check_order, _pow2_exponents
-from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen, _read_records
+from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _floats, _frozen, _read_records
 from .tailcov import tail_covariance
 from .whiten import _check_white, _fix_signs
 
@@ -313,10 +313,8 @@ def unmixing_from_csv(text: str) -> UnmixingMatrix:
     if converged not in ("true", "false"):
         raise DataError(f"bad converged flag {converged!r}")
     try:
-        w = np.array([[float(v) for v in row] for row in rows])
         k, seed, iterations = int(k), int(seed), int(iterations)
     except ValueError:
         raise DataError("bad numeric field in unmixing file") from None
-    return UnmixingMatrix(
-        w=w, k=k, seed=seed, iterations=iterations, converged=converged == "true"
-    )
+    w = [_floats(row, range(1, len(rows) + 1), f"unmixing row {i}") for i, row in enumerate(rows, start=1)]
+    return UnmixingMatrix(np.array(w), k, seed, iterations, converged == "true")

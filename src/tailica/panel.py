@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DroppedDataWarning
-from .moments import _pow2_exponents
+from .moments import _scaled_powers
 
 __all__ = [
     "SamplePanel",
@@ -238,10 +238,10 @@ def split_buckets(panel: SamplePanel, boundary_date: str) -> BucketSplit:
 
 def center(panel: SamplePanel) -> SamplePanel:
     """Subtract each column's mean, the one centring rule: ``col.mean()`` of the
-    column rescaled by an exact power of two, so no sum overflows.  ``fit_whitening``
-    keeps its ``x.mean(axis=0)``, whose bits every saved whitening and fit carry."""
-    exp2 = _pow2_exponents(panel.data)
-    scaled = np.ldexp(panel.data, -exp2, out=np.empty(panel.data.shape, order="F"))  # columns contiguous
+    column rescaled by an exact power of two (``_scaled_powers`` at p = 1), so no
+    sum overflows.  ``fit_whitening`` keeps its ``x.mean(axis=0)``, whose bits
+    every saved whitening and fit carry."""
+    scaled, exp2 = _scaled_powers(panel.data, 1)
     data = panel.data - np.ldexp(scaled.mean(axis=0), exp2)
     data.flags.writeable = False
     return panel.with_data(data)
@@ -305,6 +305,20 @@ def _read_records(text: str, magic: str, what: str) -> list:
     if not records or records[0][0].strip() != magic:
         raise DataError(f"not a {magic} file")
     return records
+
+
+def _floats(fields: list, names, where: str) -> list:
+    """``fields`` as floats, one per name; an error starts ``where`` and names
+    a wrong field count before any parse, else the column ``float`` refuses."""
+    if len(fields) != len(names):
+        raise DataError(f"{where}: expected {len(names)} numeric fields, got {len(fields)}")
+    values = []
+    try:
+        values.extend(map(float, fields))
+    except ValueError:  # extend keeps the values before the one float rejects
+        j = len(values)
+        raise DataError(f"{where}: bad numeric field {fields[j]!r} in column {names[j]!r}") from None
+    return values
 
 
 class _LongRows:
@@ -492,26 +506,18 @@ def _read_wide_rows(handle, header: list) -> SamplePanel:
     if len(header) < 2 or header[0].strip().lower() != "date":
         raise DataError("wide CSV must start with a 'date' column")
     columns = tuple(h.strip() for h in header[1:])
-    rows = []
-    dates = []
+    rows, dates = [], []
     lineno = 1  # records read
     try:
         for row in csv.reader(handle):
             lineno += 1
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != len(header):
-                raise DataError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
             date = _check_date(row[0].strip(), f"line {lineno}")
             if dates and date <= dates[-1]:
                 raise DataError(f"line {lineno}: row dates not strictly increasing at {date!r}")
             dates.append(date)
-            rows.append([])
-            try:
-                rows[-1].extend(map(float, row[1:]))
-            except ValueError:  # extend keeps the values before the one float rejects
-                j = len(rows[-1])
-                raise DataError(f"line {lineno}: bad numeric field {row[j + 1]!r} in column {columns[j]!r}") from None
+            rows.append(_floats(row[1:], columns, f"line {lineno}"))
     except csv.Error as exc:
         raise DataError(f"line {lineno + 1}: {exc}") from None
     if not rows:

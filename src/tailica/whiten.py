@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError, ReductionWarning
-from .moments import _check_order, _pow2_exponents
-from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _frozen, _read_records
+from .moments import _check_order, _scaled_powers
+from .panel import _BLOCK_ROWS, SamplePanel, _csv_text, _floats, _frozen, _read_records
 
 __all__ = [
     "WhiteningTransform",
@@ -128,8 +128,8 @@ def fit_whitening(panel: SamplePanel, d: int, standardize: bool = False) -> Whit
         xc = x - mean
         scale = None
         if standardize:  # root mean square of ratios to 2**exp2, so no square leaves the range
-            exp2 = _pow2_exponents(xc)
-            scale = np.ldexp(np.sqrt((np.ldexp(xc, -exp2) ** 2).mean(axis=0)), exp2)
+            squares, exp2 = _scaled_powers(xc, 2)
+            scale = np.ldexp(np.sqrt(squares.mean(axis=0)), exp2)
             xc = xc / scale
         cov = xc.T @ xc / panel.m
     if not np.all(np.isfinite(cov)):
@@ -214,12 +214,7 @@ def whitening_from_csv(text: str) -> WhiteningTransform:
     rows = records[5:]
     if len(rows) != d:
         raise DataError(f"expected {d} projection rows, found {len(rows)}")
-    try:
-        projection = np.array([[float(v) for v in r] for r in rows])
-        mean = np.array([float(v) for v in mean])
-        eigenvalues = np.array([float(v) for v in eigenvalues])
-    except ValueError:
-        raise DataError("bad numeric field in whitening file") from None
-    if projection.shape != (d, n):
-        raise DataError("projection rows have inconsistent width")
-    return WhiteningTransform(mean, projection, eigenvalues, tuple(columns))
+    mean = _floats(mean, columns, "whitening mean")
+    eigenvalues = _floats(eigenvalues, range(1, d + 1), "whitening eigenvalues")
+    rows = [_floats(r, range(1, n + 1), f"whitening projection row {i}") for i, r in enumerate(rows, start=1)]
+    return WhiteningTransform(np.array(mean), np.array(rows), np.array(eigenvalues), tuple(columns))

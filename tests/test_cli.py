@@ -262,6 +262,31 @@ def test_malformed_whitening_header_is_a_data_error(tmp_path, market_csv, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ("projection", "whitening projection row 2: expected 2 numeric fields, got 3"),
+        ("mean", "whitening mean: bad numeric field 'x' in column 'S0001'"),
+        ("unmixing", "unmixing row 2: expected 2 numeric fields, got 3"),
+    ],
+)
+def test_transform_names_the_row_and_column_of_a_bad_matrix_field(tmp_path, market_csv, capsys, part, message):
+    text = whitening_to_csv(fit_whitening(ingest_csv(market_csv), 2))
+    if part == "projection":
+        text = text[: text.index("projection,")] + "projection,2,2\n1,0\n0,1,5\n"
+    elif part == "mean":  # the first mean field
+        lines = text.split("\n")
+        lines[2] = "mean,x," + lines[2].split(",", 2)[2]
+        text = "\n".join(lines)
+    whitening, unmixing, out = tmp_path / "whitening.csv", tmp_path / "W_k2.csv", tmp_path / "o.csv"
+    whitening.write_text(text)
+    unmixing.write_text("tailica-W v1, k=2, seed=0, converged=true, iterations=1\n1,0\n0,1,2\n")
+    argv = ["transform", "--input", str(market_csv), "--whitening", str(whitening), "--unmixing", str(unmixing)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"tailica: data error: {message}\n"
+    assert not out.exists()
+
+
 def test_undecodable_config_file_is_a_usage_error_that_names_it(tmp_path, market_csv, capsys):
     config = tmp_path / "run.conf"
     config.write_bytes(b"d=4\xff\n")
@@ -552,6 +577,19 @@ def test_config_file_supplies_defaults(tmp_path, market_csv):
     assert json.loads((out / "manifest.json").read_text())["parameters"]["standardize"] is False
 
 
+def test_a_config_value_may_hold_a_hash(tmp_path, market_csv):
+    # only a line whose first non-blank character is '#' is a comment
+    data = tmp_path / "runs#3" / "m.csv"
+    data.parent.mkdir()
+    data.write_bytes(market_csv.read_bytes())
+    config = tmp_path / "run.conf"
+    config.write_text(f"  # the input's folder name holds a '#'\ninput={data}\n")
+    outs = [tmp_path / "config.csv", tmp_path / "flag.csv"]
+    assert main(["ingest", "--config", str(config), "--out", str(outs[0])]) == 0
+    assert main(["ingest", "--input", str(data), "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_cli_overrides_config(tmp_path, market_csv):
     config = tmp_path / "run.conf"
     config.write_text("d=4\nk=2\nboundary=2014-07-20\nmax-iter=120\n")
@@ -724,7 +762,12 @@ def test_fit_rerun_is_byte_identical(tmp_path, market_csv):
 
 @pytest.mark.parametrize(
     "config_text, flag",
-    [("d=abc\n", "--d"), ("d=4\nstandardize=maybe\n", "--standardize"), ("d=4\nk=2,x\n", "--k")],
+    [
+        ("d=abc\n", "--d"),
+        ("d=4\nstandardize=maybe\n", "--standardize"),
+        ("d=4\nk=2,x\n", "--k"),
+        ("d=4 # a '#' after the value is part of it\n", "--d"),
+    ],
 )
 def test_bad_config_value_names_its_flag(tmp_path, market_csv, capsys, config_text, flag):
     config = tmp_path / "run.conf"

@@ -342,6 +342,8 @@ def test_tail_report_validation():
         TailReport(**{**broken, "portfolio_counts": rep.portfolio_counts * 2})
     with pytest.raises(DataError):
         TailReport(**{**broken, "quantiles": rep.quantiles[::-1]})
+    with pytest.raises(DataError, match=r"^quantile block has shape \(\d+, 2\)$"):
+        TailReport(**{**broken, "quantiles": rep.quantiles[:, :2]})
 
 
 def test_scatter_skips_constant_columns():

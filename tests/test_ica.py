@@ -359,6 +359,12 @@ def test_unmixing_csv_rejects_tampering():
         unmixing_from_csv(text.replace("1.0", "one point zero"))
     with pytest.raises(DataError, match="malformed header field 'seed'"):
         unmixing_from_csv("tailica-W v1, k=2, seed, converged=true, iterations=1\n" + body)
+    # each row's field count is checked before any field is parsed
+    head = text.split("\n", 1)[0] + "\n"
+    with pytest.raises(DataError, match="^unmixing row 2: expected 2 numeric fields, got 3$"):
+        unmixing_from_csv(head + "1,0\n0,1,2\n")
+    with pytest.raises(DataError, match="^unmixing row 1: bad numeric field 'one' in column 2$"):
+        unmixing_from_csv(head + "1,one\n0,1\n")
 
 
 def test_unmixing_csv_reader_takes_only_the_writers_header():

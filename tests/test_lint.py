@@ -5,8 +5,9 @@ top-level name is referenced in the package besides its definition, every
 name a module exports in ``__all__`` exists and ``tailica`` exports exactly
 those names, and the package imports nothing beyond the standard library
 and numpy, and no module that starts threads or processes.  The one
-``open()`` is in ``panel._open_text`` and names its encoding, and ``cli``
-imports no ``csv``.  Every benchmark record ``BENCH_<n>.json`` that the
+``open()`` is in ``panel._open_text`` and names its encoding, ``cli``
+imports no ``csv``, and no ``*_from_csv`` reader outside ``panel`` calls
+``float``.  Every benchmark record ``BENCH_<n>.json`` that the
 documents or the package cite is committed.
 The solver calls ``np.linalg.svd`` only in the helper that retries it.
 """
@@ -149,6 +150,20 @@ def test_the_cli_leaves_csv_to_the_panel_module():
         if "csv" in imported:
             importers.append(path.name)
     assert importers == ["panel.py"]
+
+
+def test_no_reader_outside_panel_parses_a_float():
+    # panel._floats checks a record's field count, then names the column of a bad field;
+    # a bare name counts too, so map(float, row) is found
+    found = []
+    for path in MODULES:
+        if path.name == "panel.py":
+            continue
+        for reader in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(reader, ast.FunctionDef) and reader.name.endswith("_from_csv"):
+                names = (node for statement in reader.body for node in ast.walk(statement))
+                found += [f"{path.name}:{node.lineno}" for node in names if isinstance(node, ast.Name) and node.id == "float"]
+    assert not found, "float in a reader outside panel: " + ", ".join(found)
 
 
 def test_every_cited_benchmark_record_exists_and_loads():

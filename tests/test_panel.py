@@ -955,6 +955,8 @@ def test_ingest_csv_reads_any_other_header_as_wide():
         ingest_csv(io.StringIO("date,symbol,returns\n2020-01-01,AAA,0.5\n"))
     with pytest.raises(DataError, match="^line 3: bad numeric field 'x' in column 'C'$"):
         ingest_csv(io.StringIO("date,A,B,C\n2020-01-01,1,2,3\n2020-01-02,4,5,x\n"))
+    with pytest.raises(DataError, match="^line 2: expected 2 numeric fields, got 3$"):
+        ingest_csv(io.StringIO("date,A,B\n2020-01-01,1,2,3\n"))
     with pytest.raises(DataError, match="^wide CSV must start with a 'date' column$"):
         ingest_csv(io.StringIO("time,symbol,return\n2020-01-01,A,1.0\n"))
 

@@ -266,10 +266,16 @@ def test_csv_rejects_tampered_input():
         whitening_from_csv(text.replace("mean,", "scale,1\nmean,", 1))
     with pytest.raises(DataError, match="^expected 2 projection rows, found 1"):
         whitening_from_csv("\n".join(lines[:-1]))
-    with pytest.raises(DataError, match="^bad numeric field"):
+    with pytest.raises(DataError, match="^whitening eigenvalues: expected 2 numeric fields, got 3$"):
         whitening_from_csv(text.replace("eigenvalues,", "eigenvalues,big,", 1))
-    with pytest.raises(DataError, match="^projection rows have inconsistent width"):
+    with pytest.raises(DataError, match="^whitening projection row 1: expected 6 numeric fields, got 7$"):
         whitening_from_csv("\n".join(lines[:-2] + [row + ",0.5" for row in lines[-2:]]))
+    # a ragged row is a width error, however well its fields parse
+    with pytest.raises(DataError, match="^whitening projection row 2: expected 2 numeric fields, got 3$"):
+        whitening_from_csv("\n".join(lines[:4] + ["projection,2,2", "1,0", "0,1,5"]))
+    mean = lines[2].split(",")
+    with pytest.raises(DataError, match=f"^whitening mean: bad numeric field 'x' in column {t.column_ids[1]!r}$"):
+        whitening_from_csv(text.replace(lines[2], ",".join(mean[:2] + ["x"] + mean[3:])))
 
 
 def test_csv_reader_takes_only_the_writers_layout():
